@@ -18,7 +18,7 @@ across its whole (tiny) footprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -98,6 +98,67 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def assemble_continuity_system(
+    mesh: RectilinearMesh,
+    sigma: np.ndarray,
+    configuration: TerminalConfiguration = DSSS,
+    drain_voltage: float = 5.0,
+    source_voltage: float = 0.0,
+) -> Tuple["csr_matrix", np.ndarray]:
+    """CSR matrix and right-hand side of the discrete continuity equation.
+
+    Node ``(i, j)`` is row ``j * nx + i``.  Electrode-pad nodes of driven
+    terminals are Dirichlet rows (``1`` on the diagonal, the terminal
+    potential on the right); every other row is the 5-point stencil with
+    harmonic-mean face conductivities and an insulating outer boundary.
+    The stencil is built one shifted-slice pass per direction (+x, -x, +y,
+    -y); the diagonal subtracts the face weights in that order, so the
+    matrix is bitwise the one a node-by-node accumulation builds.
+    """
+    from scipy.sparse import csr_matrix
+
+    ny, nx = mesh.ny, mesh.nx
+    n = mesh.node_count
+    fixed = np.zeros((ny, nx), dtype=bool)
+    rhs = np.zeros((ny, nx))
+    for terminal, mask in mesh.electrode_masks().items():
+        role = configuration.role_of(terminal)
+        if role is TerminalRole.FLOAT:
+            continue
+        fixed |= mask
+        rhs[mask] = drain_voltage if role is TerminalRole.DRAIN else source_voltage
+
+    index = np.arange(n).reshape((ny, nx))
+    diag = np.zeros((ny, nx))
+    rows, cols, vals = [], [], []
+    hx2, hy2 = mesh.hx * mesh.hx, mesh.hy * mesh.hy
+    # (node slice, neighbour slice, h^2) for the +x, -x, +y, -y faces; the
+    # outer boundary has no face (insulating, zero normal current).
+    for at, to, h2 in (
+        (np.s_[:, :-1], np.s_[:, 1:], hx2),
+        (np.s_[:, 1:], np.s_[:, :-1], hx2),
+        (np.s_[:-1, :], np.s_[1:, :], hy2),
+        (np.s_[1:, :], np.s_[:-1, :], hy2),
+    ):
+        s_here, s_there = sigma[at], sigma[to]
+        # Harmonic mean of the two cell conductivities across the face.
+        weight = 2.0 * s_here * s_there / (s_here + s_there) / h2
+        active = ~fixed[at]
+        rows.append(index[at][active])
+        cols.append(index[to][active])
+        vals.append(weight[active])
+        diag[at] -= weight
+    diag[fixed] = 1.0
+    rows.append(index.ravel())
+    cols.append(index.ravel())
+    vals.append(diag.ravel())
+    matrix = csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+    return matrix, rhs.ravel()
+
+
 def solve_current_density(
     spec_or_kind: "DeviceSpec | DeviceKind",
     configuration: TerminalConfiguration = DSSS,
@@ -115,23 +176,7 @@ def solve_current_density(
         mesh = RectilinearMesh(61, 61)
 
     sigma = mesh.conductivity_map(kind)
-    nx, ny = mesh.nx, mesh.ny
-    n = mesh.node_count
-
-    dirichlet: Dict[int, float] = {}
-    masks = mesh.electrode_masks()
-    for terminal, mask in masks.items():
-        role = configuration.role_of(terminal)
-        if role is TerminalRole.FLOAT:
-            continue
-        value = drain_voltage if role is TerminalRole.DRAIN else source_voltage
-        for j in range(ny):
-            for i in range(nx):
-                if mask[j, i]:
-                    dirichlet[mesh.index(i, j)] = value
-
     try:
-        from scipy.sparse import lil_matrix
         from scipy.sparse.linalg import spsolve
     except ImportError as error:  # pragma: no cover - depends on environment
         raise ImportError(
@@ -139,36 +184,13 @@ def solve_current_density(
             "optional extra (pip install scipy, or this package's [sparse] extra)"
         ) from error
 
-    matrix = lil_matrix((n, n))
-    rhs = np.zeros(n)
-    hx, hy = mesh.hx, mesh.hy
-
-    for j in range(ny):
-        for i in range(nx):
-            row = mesh.index(i, j)
-            if row in dirichlet:
-                matrix[row, row] = 1.0
-                rhs[row] = dirichlet[row]
-                continue
-            diag = 0.0
-            for di, dj, h in ((1, 0, hx), (-1, 0, hx), (0, 1, hy), (0, -1, hy)):
-                ii, jj = i + di, j + dj
-                if not (0 <= ii < nx and 0 <= jj < ny):
-                    continue  # insulating outer boundary (zero normal current)
-                # Harmonic mean of the two cell conductivities across the face.
-                s_here = sigma[j, i]
-                s_there = sigma[jj, ii]
-                s_face = 2.0 * s_here * s_there / (s_here + s_there)
-                weight = s_face / (h * h)
-                matrix[row, mesh.index(ii, jj)] = weight
-                diag -= weight
-            matrix[row, row] = diag
-
-    solution = spsolve(matrix.tocsr(), rhs)
-    potential = solution.reshape((ny, nx))
+    matrix, rhs = assemble_continuity_system(
+        mesh, sigma, configuration, drain_voltage, source_voltage
+    )
+    potential = spsolve(matrix, rhs).reshape((mesh.ny, mesh.nx))
 
     # J = -sigma * grad(phi), central differences in the interior.
-    grad_y, grad_x = np.gradient(potential, hy, hx)
+    grad_y, grad_x = np.gradient(potential, mesh.hy, mesh.hx)
     jx = -sigma * grad_x
     jy = -sigma * grad_y
     return CurrentDensityField(mesh=mesh, potential=potential, jx=jx, jy=jy, conductivity=sigma)

@@ -1,5 +1,8 @@
 """Unit tests for repro.core.paths — Table I and the Fig. 2c lattice function."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from repro.core.lattice import Lattice
@@ -61,6 +64,80 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             count_lattice_products(0, 3)
 
+    def test_documented_order_of_first_4x4_products(self):
+        first_ten = list(itertools.islice(enumerate_lattice_products(4, 4), 10))
+        assert first_ten == [
+            ((0, 0), (1, 0), (2, 0), (3, 0)),
+            ((0, 0), (1, 0), (2, 0), (2, 1), (3, 1)),
+            ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (3, 2)),
+            ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (3, 3)),
+            ((0, 0), (1, 0), (1, 1), (2, 1), (3, 1)),
+            ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)),
+            ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 3)),
+            ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (3, 2)),
+            ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3)),
+            ((0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (2, 3), (3, 3)),
+        ]
+
+
+def _connects_plates(cells, rows):
+    """True when the cell set holds a 4-connected top-row-to-bottom-row path."""
+    frontier = [cell for cell in cells if cell[0] == 0]
+    seen = set(frontier)
+    while frontier:
+        r, c = frontier.pop()
+        if r == rows - 1:
+            return True
+        for neighbour in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if neighbour in cells and neighbour not in seen:
+                seen.add(neighbour)
+                frontier.append(neighbour)
+    return False
+
+
+def _brute_force_product_count(rows, cols):
+    """Minimal plate-connecting cell sets, found from the definition alone.
+
+    Every subset of cells is tested for top-to-bottom connectivity; the
+    products are the connecting sets with no connecting proper subset.  A
+    connecting set is minimal iff dropping any single cell disconnects it
+    (connectivity is monotone in the cell set).
+    """
+    grid = [(r, c) for r in range(rows) for c in range(cols)]
+    minimal = 0
+    for size in range(1, len(grid) + 1):
+        for subset in itertools.combinations(grid, size):
+            cells = set(subset)
+            if _connects_plates(cells, rows) and not any(
+                _connects_plates(cells - {cell}, rows) for cell in subset
+            ):
+                minimal += 1
+    return minimal
+
+
+class TestCounterOracles:
+    @pytest.mark.parametrize("rows", range(1, 7))
+    @pytest.mark.parametrize("cols", range(1, 7))
+    def test_count_equals_enumeration_length(self, rows, cols):
+        assert count_lattice_products(rows, cols) == len(
+            list(enumerate_lattice_products(rows, cols))
+        )
+
+    @pytest.mark.parametrize("rows,cols", [(5, 4), (4, 5), (6, 6), (3, 7)])
+    def test_mirrored_start_columns_yield_equal_counts(self, rows, cols):
+        paths = list(enumerate_lattice_products(rows, cols))
+        per_column = Counter(path[0][1] for path in paths)
+        for col in range(cols):
+            assert per_column[col] == per_column[cols - 1 - col]
+        mirrored = {tuple((r, cols - 1 - c) for r, c in path) for path in paths}
+        assert mirrored == set(paths)
+
+    @pytest.mark.parametrize(
+        "rows,cols", [(1, 3), (2, 2), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3), (4, 2)]
+    )
+    def test_count_matches_brute_force_minimal_sets(self, rows, cols):
+        assert count_lattice_products(rows, cols) == _brute_force_product_count(rows, cols)
+
 
 class TestTableI:
     @pytest.mark.parametrize("rows", range(2, 7))
@@ -70,7 +147,7 @@ class TestTableI:
 
     @pytest.mark.parametrize(
         "rows,cols",
-        [(2, 9), (3, 9), (9, 2), (7, 7), (4, 8), (8, 4), (5, 8), (7, 5)],
+        [(2, 9), (3, 9), (9, 2), (7, 7), (4, 8), (8, 4), (5, 8), (7, 5), (8, 8)],
     )
     def test_matches_paper_rectangular_cases(self, rows, cols):
         assert count_lattice_products(rows, cols) == PAPER_TABLE_I[(rows, cols)]

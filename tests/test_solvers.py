@@ -286,47 +286,40 @@ class TestAutoSolver:
         assert isinstance(auto.select(compiled), DenseSolver)
         assert isinstance(auto.select(compiled, trials=3), BatchedDenseSolver)
 
-    def test_env_crossover_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_CROSSOVER", "7")
-        auto = AutoSolver()
-        assert auto.crossover == 7
-        assert auto.batched_crossover == 7
-
-    def test_recorded_crossovers_from_bench_json(self, tmp_path, monkeypatch):
+    @requires_scipy  # the chain's default switch model is fitted with scipy
+    def test_selection_ignores_recorded_crossovers_and_env(self, tmp_path, monkeypatch):
+        # A spec hash must name one bit pattern: "auto" hashes like any
+        # other backend, so its selection may not depend on the cwd or the
+        # environment.  Plant every crossover source older releases read.
+        import hashlib
         import json
 
-        payload = {
-            "crossover_size": 120,
-            "batched": {"batched_crossover_size": 450},
-        }
-        path = tmp_path / "BENCH_solvers.json"
-        path.write_text(json.dumps(payload))
-        monkeypatch.delenv("REPRO_SOLVER_CROSSOVER", raising=False)
-        monkeypatch.setenv("REPRO_BENCH_SOLVERS", str(path))
-        solvers_module._load_bench_payload.cache_clear()
-        try:
-            recorded = solvers_module.recorded_crossovers()
-            assert recorded == {
-                "crossover_size": 120.0,
-                "batched_crossover_size": 450.0,
-            }
-            auto = AutoSolver()
-            assert auto.crossover == 120
-            assert auto.batched_crossover == 450
-        finally:
-            solvers_module._load_bench_payload.cache_clear()
+        from repro.api import CircuitSpec, DCOp, Session
 
-    def test_missing_bench_json_uses_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_CROSSOVER", raising=False)
-        monkeypatch.setenv("REPRO_BENCH_SOLVERS", str(tmp_path / "absent.json"))
-        monkeypatch.setenv("BENCH_JSON_DIR", str(tmp_path))
+        spec = DCOp(
+            circuit=CircuitSpec(
+                "repro.circuits.series_chain:build_series_chain",
+                params={"num_switches": 21},
+            )
+        )
+
+        def digest():
+            return hashlib.sha256(Session(store=None).run(spec).to_json().encode()).hexdigest()
+
+        for name in ("REPRO_SOLVER_CROSSOVER", "REPRO_BENCH_SOLVERS", "BENCH_JSON_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        clean = digest()
+
+        planted = tmp_path / "BENCH_solvers.json"
+        planted.write_text(json.dumps({"crossover_size": 10, "batched_crossover_size": 10}))
         monkeypatch.chdir(tmp_path)
-        solvers_module._load_bench_payload.cache_clear()
-        try:
-            auto = AutoSolver()
-            assert auto.crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER
-        finally:
-            solvers_module._load_bench_payload.cache_clear()
+        monkeypatch.setenv("REPRO_SOLVER_CROSSOVER", "10")
+        monkeypatch.setenv("REPRO_BENCH_SOLVERS", str(planted))
+        monkeypatch.setenv("BENCH_JSON_DIR", str(tmp_path))
+        auto = AutoSolver()
+        assert auto.crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER
+        assert auto.batched_crossover == solvers_module.DEFAULT_DENSE_SPARSE_CROSSOVER
+        assert digest() == clean
 
     def test_no_scipy_degrades_to_dense_with_warning(self, monkeypatch):
         def no_scipy():

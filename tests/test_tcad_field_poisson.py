@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.devices.specs import DeviceKind, device_spec
-from repro.devices.terminals import DSSS, Terminal, configuration_by_name
+from repro.devices.terminals import DSSS, Terminal, TerminalRole, configuration_by_name
 from repro.tcad.electrostatics import surface_potential, threshold_voltage
-from repro.tcad.field import solve_current_density
+from repro.tcad.field import assemble_continuity_system, solve_current_density
 from repro.tcad.mesh import RectilinearMesh
 from repro.tcad.poisson1d import Poisson1DSolver, _solve_tridiagonal
 
@@ -114,6 +114,74 @@ class TestCurrentDensityField:
 
     def test_crowding_factor_at_least_one(self, square_field):
         assert square_field.crowding_factor() >= 1.0
+
+
+def _reference_continuity_system(mesh, sigma, configuration, drain_voltage, source_voltage):
+    """Node-by-node assembly of the continuity equation (the original loop).
+
+    Kept as the oracle for the vectorized assembler: one LIL entry per
+    stencil coefficient, diagonal accumulated over the +x, -x, +y, -y faces.
+    """
+    from scipy.sparse import lil_matrix
+
+    dirichlet = {}
+    for terminal, mask in mesh.electrode_masks().items():
+        role = configuration.role_of(terminal)
+        if role is TerminalRole.FLOAT:
+            continue
+        value = drain_voltage if role is TerminalRole.DRAIN else source_voltage
+        for j in range(mesh.ny):
+            for i in range(mesh.nx):
+                if mask[j, i]:
+                    dirichlet[mesh.index(i, j)] = value
+
+    n = mesh.node_count
+    matrix = lil_matrix((n, n))
+    rhs = np.zeros(n)
+    for j in range(mesh.ny):
+        for i in range(mesh.nx):
+            row = mesh.index(i, j)
+            if row in dirichlet:
+                matrix[row, row] = 1.0
+                rhs[row] = dirichlet[row]
+                continue
+            diag = 0.0
+            for di, dj, h in ((1, 0, mesh.hx), (-1, 0, mesh.hx), (0, 1, mesh.hy), (0, -1, mesh.hy)):
+                ii, jj = i + di, j + dj
+                if not (0 <= ii < mesh.nx and 0 <= jj < mesh.ny):
+                    continue
+                s_here = sigma[j, i]
+                s_there = sigma[jj, ii]
+                s_face = 2.0 * s_here * s_there / (s_here + s_there)
+                weight = s_face / (h * h)
+                matrix[row, mesh.index(ii, jj)] = weight
+                diag -= weight
+            matrix[row, row] = diag
+    return matrix.tocsr(), rhs
+
+
+@requires_scipy
+class TestContinuityAssemblyOracle:
+    @pytest.mark.parametrize("nx,ny", [(9, 9), (61, 61), (9, 13)])
+    @pytest.mark.parametrize("code", ["DSSS", "DSFS"])
+    @pytest.mark.parametrize("kind", list(DeviceKind))
+    def test_matches_node_by_node_assembly_bitwise(self, kind, code, nx, ny):
+        from scipy.sparse.linalg import spsolve
+
+        mesh = RectilinearMesh(nx, ny)
+        sigma = mesh.conductivity_map(kind)
+        configuration = configuration_by_name(code)
+        matrix, rhs = assemble_continuity_system(mesh, sigma, configuration, 5.0, 0.0)
+        reference, reference_rhs = _reference_continuity_system(
+            mesh, sigma, configuration, 5.0, 0.0
+        )
+        assert np.array_equal(matrix.indptr, reference.indptr)
+        assert np.array_equal(matrix.indices, reference.indices)
+        assert np.array_equal(matrix.data, reference.data)
+        assert np.array_equal(rhs, reference_rhs)
+        field = solve_current_density(kind, configuration=configuration, mesh=mesh)
+        expected = spsolve(reference, reference_rhs).reshape((ny, nx))
+        assert np.array_equal(field.potential, expected)
 
 
 class TestPoisson1D:
