@@ -4,15 +4,18 @@ The solver seam's claim is that the dense LAPACK backend is right for the
 paper-scale circuits while the sparse SuperLU backend takes over on large
 lattices.  This benchmark sweeps size-parameterized identity-lattice
 circuits (:func:`repro.circuits.build_scalability_bench`), records for each
-size the raw per-solve time of both backends on the operating-point
-Jacobian plus the end-to-end warm DC solve time, and reports the crossover
-size where sparse first beats dense.
+size the per-solve time of both backends on the operating-point Jacobian —
+handed over as pattern data, the way the engine hands every Newton round
+to a backend (the dense one pays its scatter into the reused dense
+buffer) — plus the end-to-end warm DC solve time, and reports the
+crossover size where sparse first beats dense.
 
 Two batched cases extend the sweep to stacked Monte-Carlo solves:
 
 * ``test_sparse_batched_crossover`` races the dense-batched path
-  (``(trials, n, n)`` LAPACK stacks) against the sparse-batched path
-  (``(trials, nnz)`` CSC stacks over one shared structure) on mid-size
+  (pattern stacks densified into ``(trials, n, n)`` LAPACK stacks) against
+  the sparse-batched path (``(trials, nnz)`` CSC stacks factorized over
+  one shared structure) on mid-size
   lattices and records the measured ``batched_crossover_size``.  The
   ``solver="auto"`` policy never reads it back: its crossover is the
   source constant ``DEFAULT_DENSE_SPARSE_CROSSOVER``, which a measured
@@ -89,14 +92,14 @@ REUSE_MIN_SPEEDUP = float(os.environ.get("SOLVERS_REUSE_MIN_SPEEDUP", "0"))
 THREADED_MIN_SPEEDUP = float(os.environ.get("SOLVERS_THREADED_MIN_SPEEDUP", "0"))
 
 
-def _best_solve_s(solver, matrix, rhs, rounds=5):
-    """Best-of-rounds per-solve time of one backend on a fixed system."""
-    reps = 100 if matrix.shape[0] < 150 else 20
+def _best_solve_s(solver, data, rhs, rounds=5):
+    """Best-of-rounds per-solve time of one bound backend on pattern data."""
+    reps = 100 if rhs.shape[0] < 150 else 20
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
         for _ in range(reps):
-            solver.solve(matrix, rhs)
+            solver.solve_pattern(data, rhs)
         best = min(best, (time.perf_counter() - start) / reps)
     return best
 
@@ -124,18 +127,21 @@ def test_dense_sparse_crossover(benchmark, switch_model):
         # Backend parity on the full unknown vector, size for size.
         assert np.allclose(dense_op.solution, sparse_op.solution, rtol=1e-9, atol=1e-9)
 
-        matrix, rhs = engine.assemble_system(
+        data, rhs = engine.compiled.assemble_sparse(
             AnalysisState(solution=dense_op.solution, gmin=1e-9)
         )
         dense = DenseSolver()
-        sparse = SparseSolver()
+        dense.bind(engine.compiled)
+        # No factorization cache: every timed solve refactorizes, as a
+        # changing Newton Jacobian does.
+        sparse = SparseSolver(cache_capacity=0)
         sparse.bind(engine.compiled)
         rows.append(
             {
                 "grid": grid,
                 "system_size": bench.circuit.system_size,
-                "dense_solve_us": _best_solve_s(dense, matrix, rhs) * 1e6,
-                "sparse_solve_us": _best_solve_s(sparse, matrix, rhs) * 1e6,
+                "dense_solve_us": _best_solve_s(dense, data, rhs) * 1e6,
+                "sparse_solve_us": _best_solve_s(sparse, data, rhs) * 1e6,
                 "dense_dc_ms": _best_dc_solve_s(engine, dense_op.solution, "dense") * 1e3,
                 "sparse_dc_ms": _best_dc_solve_s(engine, dense_op.solution, "sparse") * 1e3,
             }
@@ -449,16 +455,16 @@ def test_large_lattice_sparse_batched(switch_model):
 
     # Raw per-solve cost of both backends on the converged Jacobian: the
     # measured half of the dense comparison.
-    matrix, rhs = engine.assemble_system(
-        AnalysisState(solution=nominal.solution, gmin=1e-9)
-    )
+    state = AnalysisState(solution=nominal.solution, gmin=1e-9)
+    matrix, rhs = engine.assemble_system(state)
     start = time.perf_counter()
     DenseSolver().solve(matrix, rhs)
     dense_solve_s = time.perf_counter() - start
-    sparse = SparseSolver()
-    sparse.bind(engine.compiled)
-    sparse_solve_s = _best_solve_s(sparse, matrix, rhs, rounds=1)
     del matrix
+    data, rhs = engine.compiled.assemble_sparse(state)
+    sparse = SparseSolver(cache_capacity=0)
+    sparse.bind(engine.compiled)
+    sparse_solve_s = _best_solve_s(sparse, data, rhs, rounds=1)
 
     montecarlo = MonteCarloEngine(
         bench.circuit, {"mos_vth": Gaussian(sigma=LARGE_SIGMA)}, seed=11

@@ -96,6 +96,7 @@ def convergence_info_to_dict(
             "max_step_s": float(info.max_step_s),
             "factorizations": int(info.factorizations),
             "factorization_reuses": int(info.factorization_reuses),
+            "dc_strategy": info.dc_strategy,
         }
     raise TypeError(f"unsupported convergence info {type(info).__qualname__}")
 

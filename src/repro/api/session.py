@@ -120,13 +120,24 @@ def library_versions() -> Dict[str, str]:
     return versions
 
 
-def build_provenance(content_hash: str) -> Dict[str, Any]:
-    """The provenance record attached to every computed result."""
-    return {
+def build_provenance(
+    content_hash: str, linear_solver: Optional[Dict[str, Any]] = None
+) -> Dict[str, Any]:
+    """The provenance record attached to every computed result.
+
+    ``linear_solver`` names the concrete backend the analysis resolved to
+    and its fan-out thread count (see
+    :meth:`~repro.spice.engine.AnalysisEngine.solver_provenance`) — the
+    spec may only say ``"auto"``.
+    """
+    record = {
         "spec_hash": content_hash,
         "git": git_describe(),
         "versions": dict(library_versions()),
     }
+    if linear_solver is not None:
+        record["linear_solver"] = linear_solver
+    return record
 
 
 # ---------------------------------------------------------------------- #
@@ -540,7 +551,9 @@ class Session:
                 ),
                 "info": info,
             },
-            provenance=build_provenance(spec.content_hash),
+            provenance=build_provenance(
+                spec.content_hash, get_engine(circuit).solver_provenance(spec.solver)
+            ),
             meta=self._meta(circuit),
         )
 
@@ -586,7 +599,9 @@ class Session:
                 ),
                 "per_point": per_point,
             },
-            provenance=build_provenance(spec.content_hash),
+            provenance=build_provenance(
+                spec.content_hash, get_engine(circuit).solver_provenance(spec.solver)
+            ),
             meta=self._meta(circuit),
         )
 
@@ -639,7 +654,9 @@ class Session:
                 "factorization_reuses": int(info.factorization_reuses),
                 "info": convergence_info_to_dict(info),
             },
-            provenance=build_provenance(spec.content_hash),
+            provenance=build_provenance(
+                spec.content_hash, get_engine(circuit).solver_provenance(spec.solver)
+            ),
             meta=self._meta(circuit),
         )
 
@@ -652,9 +669,13 @@ class Session:
         if spec.base is not None:
             return self._compute_montecarlo_transient(spec, built, mc)
         if spec.mode == "batched":
+            solver = spec.solver if spec.solver is not None else "batched"
+            linear_solver = engine.solver_provenance(
+                solver, trials=spec.trials, threads=spec.threads
+            )
             batch = mc.run_batched_dc(
                 spec.trials,
-                solver=spec.solver if spec.solver is not None else "batched",
+                solver=solver,
                 max_iterations=spec.max_iterations,
                 tolerance_v=spec.tolerance_v,
                 gmin=spec.gmin,
@@ -671,6 +692,7 @@ class Session:
             factorizations = int(batch.factorizations)
             reuses = int(batch.factorization_reuses)
         else:
+            linear_solver = engine.solver_provenance(spec.solver)
             stacks = mc.sample_stacked_overlays(spec.trials)
             compiled = engine.compiled
             saved_overlay = dict(compiled._overlay) if compiled._overlay else None
@@ -729,7 +751,7 @@ class Session:
                 "factorization_reuses": int(reuses),
                 "strategies": strategies,
             },
-            provenance=build_provenance(spec.content_hash),
+            provenance=build_provenance(spec.content_hash, linear_solver),
             meta=self._meta(circuit),
         )
 
@@ -768,16 +790,22 @@ class Session:
             use_initial_conditions=base.use_initial_conditions,
             newton=newton,
         )
+        engine = get_engine(circuit)
         if spec.mode == "batched":
+            solver = solver if solver is not None else "batched"
+            linear_solver = engine.solver_provenance(
+                solver, trials=spec.trials, threads=spec.threads
+            )
             batch = mc.run_batched_transient(
                 spec.trials,
                 stop_time_s,
                 base.timestep_s,
-                solver=solver if solver is not None else "batched",
+                solver=solver,
                 threads=spec.threads,
                 **controls,
             )
         else:
+            linear_solver = engine.solver_provenance(solver)
             batch = mc.run_per_trial_transient(
                 spec.trials, stop_time_s, base.timestep_s, solver=solver, **controls
             )
@@ -828,8 +856,17 @@ class Session:
                 "factorization_reuses": int(batch.factorization_reuses),
                 "strategies": strategies,
             },
-            provenance=build_provenance(spec.content_hash),
-            meta={**self._meta(circuit), "metric_keys": metric_keys},
+            provenance=build_provenance(spec.content_hash, linear_solver),
+            meta={
+                **self._meta(circuit),
+                "metric_keys": metric_keys,
+                # How each trial's t = 0 warm start converged; a "failed"
+                # count means trials marched on from an unconverged point.
+                "dc_strategies": {
+                    name: batch.dc_strategies.count(name)
+                    for name in sorted(set(batch.dc_strategies))
+                },
+            },
         )
 
     def _compute_corners(self, spec: Corners, built: Any) -> Result:

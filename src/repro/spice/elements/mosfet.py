@@ -36,30 +36,37 @@ def evaluate_level1_arrays(vgs, vds, beta, vth_v, lambda_per_v, smoothing_v):
     arrays, matching :meth:`MOSFET._evaluate` element-wise — including the
     smooth sub-threshold transition and its large-|x| guard branches.
     """
-    x = (vgs - vth_v) / smoothing_v
+    overdrive = vgs - vth_v
+    x = overdrive / smoothing_v
     # exp() is only ever taken of a clamped-from-above argument: beyond the
     # x > 40 guard the exact linear branch is used, so clamping cannot leak
     # into the result; below -40 exp underflows harmlessly to 0.  The scalar
     # path's explicit x < -40 branch needs no counterpart here: for ex below
     # ~4e-18, log1p(ex) and ex/(1+ex) round to exactly ex in doubles, so the
-    # smooth branch already reproduces it bit-for-bit.
-    ex = np.exp(np.minimum(x, 45.0))
-    linear = x > 40.0
-    veff = np.where(linear, vgs - vth_v, smoothing_v * np.log1p(ex))
-    dveff = np.where(linear, 1.0, ex / (1.0 + ex))
+    # smooth branch already reproduces it bit-for-bit.  When no channel is
+    # past the guard (the common case) the clamp and the branch selects are
+    # identities and are skipped.
+    if x.max() <= 40.0:
+        ex = np.exp(x)
+        veff = smoothing_v * np.log1p(ex)
+        dveff = ex / (1.0 + ex)
+    else:
+        ex = np.exp(np.minimum(x, 45.0))
+        linear = x > 40.0
+        veff = np.where(linear, overdrive, smoothing_v * np.log1p(ex))
+        dveff = np.where(linear, 1.0, ex / (1.0 + ex))
 
     clm = 1.0 + lambda_per_v * vds
     triode = vds <= veff
     body_triode = veff * vds - 0.5 * vds * vds
-    body_sat = 0.5 * veff * veff
-    body = np.where(triode, body_triode, body_sat)
-    ids = beta * body * clm
+    body = np.where(triode, body_triode, 0.5 * veff * veff)
+    # beta * body is beta * body_triode on triode channels and beta * body_sat
+    # elsewhere, so the drain current and the lambda term of gds share it.
+    beta_body = beta * body
+    ids = beta_body * clm
     gm = beta * np.where(triode, vds, veff) * clm * dveff
-    gds = np.where(
-        triode,
-        beta * (veff - vds) * clm + beta * body_triode * lambda_per_v,
-        beta * body_sat * lambda_per_v,
-    )
+    clm_term = beta_body * lambda_per_v
+    gds = np.where(triode, beta * (veff - vds) * clm + clm_term, clm_term)
     return ids, gm, gds
 
 

@@ -1,30 +1,37 @@
-"""The unified analysis engine: compiled sparse stamping and batched sweeps.
+"""The unified analysis engine: compiled pattern assembly and batched sweeps.
 
 All analyses (DC operating point, DC sweeps, transient) run through one
 :class:`AnalysisEngine`, which owns the Newton-Raphson loop and its
 convergence fallbacks (gmin stepping, source stepping).  The engine compiles
 a :class:`~repro.spice.netlist.Circuit` once into per-element-class index
 arrays (:class:`CompiledCircuit`) so each Newton iteration assembles the
-Jacobian and right-hand side with vectorized ``np.add.at`` scatter instead of
+Jacobian and right-hand side with vectorized scatters instead of
 per-element Python ``stamp()`` calls.
 
 Compilation notes
 -----------------
-* **Ghost row/column.**  The assembly arrays carry one extra trailing row,
-  column and solution slot for the ground node.  Node index ``-1`` (ground)
-  then addresses the ghost slot through ordinary NumPy indexing, so stamps
-  and gathers need no per-entry ground checks; the ghost row/column is simply
-  dropped before the linear solve.
-* **Static stamps.**  Resistor conductances and the structural +/-1 entries
-  of voltage-source branches never change, so they are accumulated into a
-  base matrix once per ``(gmin, timestep, integration)`` context; capacitor
-  companion conductances join them during transient analysis.  Each Newton
-  iteration copies the base and adds only the nonlinear (MOSFET) stamps.
+* **One assembly path.**  Every stamp scatters into the CSC data array of
+  the topology's :class:`SparsityPattern` — serial ``(nnz,)`` or stacked
+  ``(trials, nnz)``.  Sparse backends factorize that data directly; dense
+  backends scatter it through a precomputed flat index into a reused
+  per-compiled ``(n, n)`` buffer (:meth:`CompiledCircuit.densify`), which
+  is zeroed once because cells outside the pattern are never written.
+* **Ghost slots.**  Compiled node indices map ground (``-1``) to a ghost
+  slot ``size``, so gathers need no per-entry ground checks: ghost stamps
+  land in a trailing trash slot of the data array (position ``nnz``) and
+  the right-hand side's trailing ghost entry, both trimmed before the
+  solve.
+* **Linear part once per Newton run.**  Resistor conductances, the
+  voltage-source branch entries, the gmin diagonal and the capacitor
+  companions are accumulated into cached base data per
+  ``(gmin, timestep, integration)`` context; the source and capacitor
+  history right-hand side depends only on the time point.  A Newton run
+  builds both once and each iteration adds only the MOSFET companion.
 * **Compatibility path.**  Elements whose exact type the compiler does not
   recognize (including subclasses of the built-in elements that override
-  ``stamp()``) keep working: their ``stamp()`` is called per iteration
-  against an :class:`~repro.spice.netlist.MNASystem` view of the engine's
-  assembly buffers.
+  ``stamp()``) keep working: the dense buffer is zeroed for them and their
+  ``stamp()`` is applied per iteration to an
+  :class:`~repro.spice.netlist.MNASystem` view of it, after the scatter.
 * **Invalidation.**  The compiled structure caches the circuit's
   :attr:`~repro.spice.netlist.Circuit.revision` and recompiles transparently
   when elements or nodes are added.
@@ -51,10 +58,15 @@ import numpy as np
 
 from repro.spice.netlist import AnalysisState, Circuit, MNASystem
 from repro.spice.elements.capacitor import Capacitor
-from repro.spice.elements.mosfet import MOSFET
+from repro.spice.elements.mosfet import MOSFET, evaluate_level1_arrays
 from repro.spice.elements.resistor import Resistor
 from repro.spice.elements.sources import CurrentSource, VoltageSource
-from repro.spice.solvers import FactorizationCache, LinearSolver, get_solver
+from repro.spice.solvers import (
+    FactorizationCache,
+    LinearSolver,
+    describe_backend,
+    get_solver,
+)
 
 #: gmin ladder of the gmin-stepping fallback (relaxed decade by decade).
 GMIN_LADDER: Tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -178,9 +190,10 @@ class SparsityPattern:
     intermediate and no per-iteration structure analysis.
 
     Ghost (ground) entries map to a trash slot at position :attr:`nnz`; the
-    assembly routines allocate data arrays of length ``nnz + 1`` and return
-    the ``[:nnz]`` prefix, mirroring how the dense path trims the ghost
-    row/column before the solve.
+    assembly routines allocate data arrays of length ``nnz + 1`` and hand
+    the ``[:nnz]`` prefix to the solver.  :attr:`dense_index` is the flat
+    ``rows * n + cols`` position of every entry in a C-ordered ``(n, n)``
+    matrix, through which dense backends scatter the data.
     """
 
     def __init__(self, compiled: "CompiledCircuit"):
@@ -216,6 +229,7 @@ class SparsityPattern:
         np.cumsum(np.bincount(self.cols, minlength=size), out=indptr[1:])
         self.indptr = indptr.astype(np.int32)
         self._keys = self.cols * size + self.rows  # ascending by construction
+        self.dense_index = self.rows * size + self.cols
 
         # Per-stamp-group position maps into the CSC data array.
         self.static_pos = self.positions(compiled._static_rows, compiled._static_cols)
@@ -275,7 +289,7 @@ class CompiledCircuit:
     Walks the circuit's elements once, grouping them by exact type:
 
     * resistors and voltage-source branch structure become a static COO
-      triplet folded into cached base matrices;
+      triplet folded into cached base data;
     * capacitors become index/value arrays for companion-model stamping;
     * MOSFETs become terminal-index and parameter arrays evaluated with the
       vectorized level-1 model of :func:`repro.spice.elements.mosfet.evaluate_level1_arrays`;
@@ -284,9 +298,9 @@ class CompiledCircuit:
     * everything else falls back to the per-element ``stamp()`` path.
     """
 
-    #: Dense base matrices retained per (gmin, timestep, integration)
-    #: context; LRU-bounded so gmin/timestep studies on large circuits do
-    #: not accumulate O(size^2) memory per visited context.
+    #: Base data arrays retained per (gmin, timestep, integration) context;
+    #: LRU-bounded so gmin/timestep studies do not accumulate one array per
+    #: visited context.
     BASE_CACHE_LIMIT = 8
 
     def __init__(self, circuit: Circuit):
@@ -363,14 +377,18 @@ class CompiledCircuit:
         self.mos_lambda = np.array([m.parameters.lambda_per_v for m in mosfets], dtype=float)
         self.mos_gmin = np.array([m.CHANNEL_GMIN for m in mosfets], dtype=float)
         self.mos_w = np.array([m.SMOOTHING_V for m in mosfets], dtype=float)
+        # Gather indices of the (drain, gate, source) terminal voltages in
+        # one take, and the companion current's RHS rows per orientation.
+        self.mos_dgs = np.concatenate((self.mos_d, self.mos_g, self.mos_s))
+        self.mos_rhs_forward = np.stack((self.mos_d, self.mos_s))
+        self.mos_rhs_reverse = np.stack((self.mos_s, self.mos_d))
 
         self.num_mosfets = len(mosfets)
         self.num_capacitors = len(capacitors)
         self._ghost = ghost
-        self._base_cache: Dict[Hashable, np.ndarray] = {}
         self._base_data_cache: Dict[Hashable, np.ndarray] = {}
-        #: Preallocated per-round scratch buffers of the batched assemblies
-        #: (see :meth:`_workspace`); keyed by buffer role.
+        #: Reused per-round buffers of the Newton hot paths and the dense
+        #: scatter (see :meth:`_workspace`); keyed by buffer role.
         self._workspaces: Dict[str, np.ndarray] = {}
         self._pattern: Optional[SparsityPattern] = None
         self._source_value_cache = None
@@ -452,37 +470,34 @@ class CompiledCircuit:
             self.refresh_values()
 
     def __getstate__(self):
-        # The base-matrix LRU and the source-value memo are lazily rebuilt
-        # and can hold O(size^2) dense matrices; shipping them to process-
-        # pool workers is pure dead weight, so pickling drops them.
+        # The base-data LRU, the source-value memo and the scratch buffers
+        # (an O(size^2) dense one among them) are lazily rebuilt; shipping
+        # them to process-pool workers is pure dead weight, so pickling
+        # drops them.
         state = self.__dict__.copy()
-        state["_base_cache"] = {}
         state["_base_data_cache"] = {}
         state["_pattern"] = None
         state["_source_value_cache"] = None
         state["_workspaces"] = {}
         return state
 
-    def _workspace(self, name: str, rows: int, cols: int, zero: bool = False) -> np.ndarray:
-        """A reusable ``(rows, cols)`` scratch view for the batched hot path.
+    def _workspace(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """A reusable ``(rows, cols)`` scratch view for the Newton hot paths.
 
-        The batched Newton loop re-assembles the stack every round; these
-        capacity-grown buffers kill the per-round allocation churn.  The
-        returned view is only valid until the next call with the same
-        ``name`` — callers that hand buffers to the outside world (the
-        public assembly entry points) must opt in explicitly.
+        The Newton loops re-assemble every round; these capacity-grown
+        buffers kill the per-round allocation churn.  A buffer starts out
+        zeroed (the dense scatter relies on that) and the returned view is
+        only valid until the next call with the same ``name``, so nothing
+        handed to the outside world may live in one.
         """
         buffer = self._workspaces.get(name)
         if buffer is None or buffer.shape[0] < rows or buffer.shape[1] != cols:
             capacity = rows
             if buffer is not None and buffer.shape[1] == cols:
                 capacity = max(rows, buffer.shape[0])
-            buffer = np.empty((capacity, cols))
+            buffer = np.zeros((capacity, cols))
             self._workspaces[name] = buffer
-        view = buffer[:rows]
-        if zero:
-            view.fill(0.0)
-        return view
+        return buffer[:rows]
 
     def refresh_values(self) -> None:
         """Re-read element *values* without recompiling the structure.
@@ -493,7 +508,7 @@ class CompiledCircuit:
         ``resistor.resistance_ohm = ...`` between runs) is not.  The
         analyses therefore call this once per solve: it rebuilds the value
         arrays (cheap — a few reads per element) and drops the cached base
-        matrices only when something actually changed.  An active parameter
+        data only when something actually changed.  An active parameter
         overlay (:meth:`set_parameter_overlay`) takes precedence over the
         element values it covers, so Monte-Carlo trials survive the refresh.
         """
@@ -514,7 +529,6 @@ class CompiledCircuit:
             new_vals[3::4] = -conductances
             if not np.array_equal(new_vals, self._static_vals[:n4]):
                 self._static_vals = np.concatenate((new_vals, self._static_vals[n4:]))
-                self._base_cache.clear()
                 self._base_data_cache.clear()
         if self.capacitors:
             new_c = overlay.get("cap_c")
@@ -522,7 +536,6 @@ class CompiledCircuit:
                 new_c = np.array([c.capacitance_f for c in self.capacitors], dtype=float)
             if not np.array_equal(new_c, self.cap_c):
                 self.cap_c = new_c
-                self._base_cache.clear()
                 self._base_data_cache.clear()
             if not overlay:
                 self.cap_v0 = np.array(
@@ -568,7 +581,7 @@ class CompiledCircuit:
             self._source_value_cache = None
 
     # ------------------------------------------------------------------ #
-    # assembly
+    # assembly: one path, CSC pattern data densified on demand
     # ------------------------------------------------------------------ #
 
     def _capacitor_conductance(self, timestep_s: float, integration: str) -> np.ndarray:
@@ -587,60 +600,27 @@ class CompiledCircuit:
         factor = 2.0 if integration == "trap" else 1.0
         return factor * np.asarray(cap_c, dtype=float) / timestep_s
 
-    def _base_matrix(
-        self,
-        gmin: float,
-        timestep_s: Optional[float],
-        integration: str,
-        cache: bool = True,
-    ) -> np.ndarray:
-        """The cached linear part of the Jacobian for one analysis context.
+    def _stamp_pattern(self) -> SparsityPattern:
+        """The CSC pattern every assembly scatters into, built once.
 
-        ``cache=False`` builds the base without retaining it — used for the
-        one-off bumped-gmin retries after a singular solve, which would
-        otherwise grow the cache with matrices that are never reused.
+        Built for circuits with custom elements too: their compiled stamps
+        still go through the pattern, and :meth:`densify` applies the
+        custom ``stamp()`` calls on the dense view afterwards.
         """
-        key = (gmin, timestep_s, integration if timestep_s is not None else "dc")
-        base = self._base_cache.get(key)
-        if base is not None:
-            # LRU touch: re-insert so timestep/gmin studies evict the
-            # least-recently-used context first.
-            self._base_cache.pop(key)
-            self._base_cache[key] = base
-        else:
-            base = np.zeros((self._ghost, self._ghost))
-            if self._static_rows.size:
-                np.add.at(base, (self._static_rows, self._static_cols), self._static_vals)
-            node_diag = np.arange(self.num_nodes)
-            base[node_diag, node_diag] += gmin
-            if timestep_s is not None and self.num_capacitors:
-                g = self._capacitor_conductance(timestep_s, integration)
-                np.add.at(
-                    base,
-                    (
-                        np.concatenate((self.cap_a, self.cap_b, self.cap_a, self.cap_b)),
-                        np.concatenate((self.cap_a, self.cap_b, self.cap_b, self.cap_a)),
-                    ),
-                    np.concatenate((g, g, -g, -g)),
-                )
-            if cache:
-                if len(self._base_cache) >= self.BASE_CACHE_LIMIT:
-                    self._base_cache.pop(next(iter(self._base_cache)))
-                self._base_cache[key] = base
-        return base
+        if self._pattern is None:
+            self._pattern = SparsityPattern(self)
+        return self._pattern
 
     def sparsity_pattern(self) -> Optional["SparsityPattern"]:
         """The shared CSC pattern of this topology, built once and cached.
 
         ``None`` for circuits with custom (compatibility-path) elements —
         their ``stamp()`` can touch arbitrary entries, so no static pattern
-        is safe and the sparse assembly path is unavailable.
+        covers the whole system and the sparse backends are unavailable.
         """
         if self.custom_elements:
             return None
-        if self._pattern is None:
-            self._pattern = SparsityPattern(self)
-        return self._pattern
+        return self._stamp_pattern()
 
     def _base_data(
         self,
@@ -651,17 +631,20 @@ class CompiledCircuit:
     ) -> np.ndarray:
         """The cached linear part of the Jacobian as CSC pattern data.
 
-        The sparse twin of :meth:`_base_matrix`: a ``(nnz + 1,)`` array
-        (trailing trash slot for ghost entries) whose stamp accumulation
-        order — static entries, then the gmin diagonal, then the capacitor
-        companions — mirrors the dense base matrix operation for operation,
-        so each entry is bit-identical to the dense base gathered at the
-        pattern's (row, col) position.
+        A ``(nnz + 1,)`` array (trailing trash slot for ghost entries)
+        accumulated in a fixed order — static entries, then the gmin
+        diagonal, then the capacitor companions — that every assembly
+        shares.  Callers must not write into it.  ``cache=False`` builds it
+        without retaining it — used for the one-off bumped-gmin retries
+        after a singular solve, which would otherwise grow the cache with
+        arrays that are never reused.
         """
-        pattern = self.sparsity_pattern()
+        pattern = self._stamp_pattern()
         key = (gmin, timestep_s, integration if timestep_s is not None else "dc")
         data = self._base_data_cache.get(key)
         if data is not None:
+            # LRU touch: re-insert so timestep/gmin studies evict the
+            # least-recently-used context first.
             self._base_data_cache.pop(key)
             self._base_data_cache[key] = data
         else:
@@ -745,69 +728,21 @@ class CompiledCircuit:
         padded[self.size] = 0.0
         return padded
 
-    def assemble(
-        self,
-        state: AnalysisState,
-        source_scale: float = 1.0,
-        cap_history: Optional[np.ndarray] = None,
-        cache_base: bool = True,
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
-        cap_g: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble the linearized system at ``state``.
-
-        Returns views of the matrix and right-hand side with the ghost
-        row/column already trimmed, ready for ``np.linalg.solve``.
-
-        ``source_scale`` scales every independent source (used by the
-        source-stepping fallback).  ``cap_history`` supplies the trapezoidal
-        capacitor history currents; when omitted they are read from the
-        elements, matching the legacy stamp path.
-
-        ``source_values`` and ``cap_g`` let the Newton loop hand in the
-        per-solve invariants — the scaled independent-source values at
-        ``state.time_s`` and the capacitor companion conductances — computed
-        once per solve instead of once per iteration; when omitted they are
-        derived here as before (identical values either way).
-        """
-        matrix = self._base_matrix(
-            state.gmin, state.timestep_s, state.integration, cache=cache_base
-        ).copy()
-        rhs = self._linear_rhs(state, source_scale, cap_history, source_values, cap_g)
-
-        if self.num_mosfets:
-            self._stamp_mosfets(matrix, rhs, self._pad(state.solution))
-
-        if self.custom_elements:
-            system = MNASystem(
-                self.num_nodes,
-                self.size - self.num_nodes,
-                matrix=matrix[: self.size, : self.size],
-                rhs=rhs[: self.size],
-            )
-            for element in self.custom_elements:
-                element.stamp(system, state)
-
-        return matrix[: self.size, : self.size], rhs[: self.size]
-
     def _linear_rhs(
         self,
         state: AnalysisState,
         source_scale: float,
         cap_history: Optional[np.ndarray],
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]],
-        cap_g: Optional[np.ndarray],
     ) -> np.ndarray:
         """The linear right-hand side at ``state`` (sources + cap history).
 
-        Shared by the dense and the sparse serial assembly — everything but
-        the MOSFET companion currents, in the serial accumulation order.
+        A ``(size + 1,)`` array (trailing ghost entry): everything but the
+        MOSFET companion currents, which depend on the Newton iterate.
+        ``cap_history`` supplies the trapezoidal capacitor history currents;
+        when omitted they are read from the elements.
         """
         rhs = np.zeros(self._ghost)
-        if source_values is None:
-            v_values, i_values = self._source_values(state.time_s, source_scale)
-        else:
-            v_values, i_values = source_values
+        v_values, i_values = self._source_values(state.time_s, source_scale)
         if v_values is not None:
             rhs[self.vs_rows] += v_values
         if i_values is not None:
@@ -815,11 +750,7 @@ class CompiledCircuit:
             np.add.at(rhs, self.is_minus, i_values)
 
         if state.timestep_s is not None and self.num_capacitors:
-            g = (
-                cap_g
-                if cap_g is not None
-                else self._capacitor_conductance(state.timestep_s, state.integration)
-            )
+            g = self._capacitor_conductance(state.timestep_s, state.integration)
             if state.previous_solution is not None:
                 prev = self._pad(state.previous_solution)
                 v_prev = prev[self.cap_a] - prev[self.cap_b]
@@ -836,63 +767,110 @@ class CompiledCircuit:
             np.add.at(rhs, self.cap_b, -i_eq)
         return rhs
 
-    def _mosfet_companion(
+    def _mosfet_stamps(
         self,
         padded: np.ndarray,
         beta: np.ndarray,
         vth: np.ndarray,
         lam: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-device linearized channel quantities at the padded iterate(s).
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Linearized MOSFET companion stamps at the padded iterate(s).
 
         ``padded`` is ``(size + 1,)`` serial or ``(trials, size + 1)``
-        batched; returns ``(forward, drain, source, gds, gm, i_eq)`` with
-        matching leading shape.  Every float operation is shared by all four
-        assembly paths, which is what keeps dense/sparse and serial/batched
-        results bit-identical.
+        batched.  Returns ``(pos, vals, rhs_pos, rhs_vals)``: the pattern
+        data positions ``(..., 8, M)`` and values ``(..., 8 * M)`` of the
+        Jacobian stamps, and the ghost-padded RHS rows ``(..., 2, M)`` and
+        values ``(..., 2 * M)`` of the companion currents.  Both ravel in
+        one group-major entry order, so cells shared by several stamps
+        accumulate in the same sequence on every path — which is what keeps
+        serial and batched results bit-identical.
         """
-        from repro.spice.elements.mosfet import evaluate_level1_arrays
-
-        vd = padded[..., self.mos_d]
-        vg = padded[..., self.mos_g]
-        vs = padded[..., self.mos_s]
+        pattern = self._stamp_pattern()
+        m = self.num_mosfets
+        terminals = padded.take(self.mos_dgs, axis=-1)
+        vd = terminals[..., :m]
+        vg = terminals[..., m : 2 * m]
+        vs = terminals[..., 2 * m :]
         # Orient every channel so its higher diffusion terminal is the drain
         # (the element does the same; the conduction is symmetric).
         forward = vd >= vs
-        drain = np.where(forward, self.mos_d, self.mos_s)
-        source = np.where(forward, self.mos_s, self.mos_d)
-        v_source = np.where(forward, vs, vd)
-        vgs = vg - v_source
+        vgs = vg - np.where(forward, vs, vd)
         vds = np.abs(vd - vs)
 
         ids, gm, gds = evaluate_level1_arrays(vgs, vds, beta, vth, lam, self.mos_w)
         gds = gds + self.mos_gmin
         i_eq = ids - gm * vgs - gds * vds
-        return forward, drain, source, gds, gm, i_eq
-
-    def _stamp_mosfets(self, matrix: np.ndarray, rhs: np.ndarray, solution: np.ndarray) -> None:
-        """Vectorized level-1 companion-model stamps for every MOSFET."""
-        forward, drain, source, gds, gm, i_eq = self._mosfet_companion(
-            solution, self.mos_beta, self.mos_vth, self.mos_lambda
+        neg_gds = -gds
+        neg_gm = -gm
+        orient = forward[..., None, :]
+        pos = np.where(orient, pattern.mos_pos_forward, pattern.mos_pos_reverse)
+        rhs_pos = np.where(orient, self.mos_rhs_forward, self.mos_rhs_reverse)
+        vals = np.concatenate(
+            (gds, gds, neg_gds, neg_gds, gm, neg_gm, neg_gm, gm), axis=-1
         )
-        gate = self.mos_g
-        rows = np.concatenate((drain, source, drain, source, drain, drain, source, source))
-        cols = np.concatenate((drain, source, source, drain, gate, source, gate, source))
-        vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm))
-        # bincount over the raveled matrix is markedly faster than np.add.at
-        # for this many entries (duplicates are accumulated either way).
-        ghost = self._ghost
-        flat = matrix.reshape(-1)
-        flat += np.bincount(rows * ghost + cols, weights=vals, minlength=ghost * ghost)
-        rhs += np.bincount(
-            np.concatenate((drain, source)),
-            weights=np.concatenate((-i_eq, i_eq)),
-            minlength=ghost,
-        )
+        return pos, vals, rhs_pos, np.concatenate((-i_eq, i_eq), axis=-1)
 
-    # ------------------------------------------------------------------ #
-    # sparse assembly (CSC pattern data, no dense intermediate)
-    # ------------------------------------------------------------------ #
+    def _round(
+        self, base: np.ndarray, rhs_lin: np.ndarray, padded: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One serial Newton round: linear part plus the MOSFET companion.
+
+        ``base``/``rhs_lin`` come from :meth:`_base_data`/:meth:`_linear_rhs`
+        and ``padded`` is the ghost-padded iterate.  Returns fresh
+        ``(nnz + 1,)`` data and ``(size + 1,)`` RHS arrays (trash and ghost
+        slots included).
+        """
+        if not self.num_mosfets:
+            return base.copy(), rhs_lin.copy()
+        pos, vals, rhs_pos, rhs_vals = self._mosfet_stamps(
+            padded, self.mos_beta, self.mos_vth, self.mos_lambda
+        )
+        data = base + np.bincount(pos.ravel(), weights=vals, minlength=base.size)
+        rhs = rhs_lin + np.bincount(
+            rhs_pos.ravel(), weights=rhs_vals, minlength=self._ghost
+        )
+        return data, rhs
+
+    def densify(
+        self,
+        data: np.ndarray,
+        rhs: Optional[np.ndarray] = None,
+        state: Optional[AnalysisState] = None,
+    ) -> np.ndarray:
+        """The ``(n, n)`` matrix of ``(nnz,)`` pattern data, in a reused buffer.
+
+        Scatters through :attr:`SparsityPattern.dense_index`; cells outside
+        the pattern are never written, so the buffer is zeroed only when it
+        is allocated — except for circuits with custom elements: their
+        buffer is zeroed every call and, given ``state``, their
+        ``stamp(system, state)`` is applied on the scattered view (and on
+        ``rhs``, the ``(n,)`` right-hand side of the round).
+        The view is valid until the next call; copy it to keep it.
+        """
+        pattern = self._stamp_pattern()
+        size = self.size
+        buffer = self._workspace("dense", 1, size * size)[0]
+        if self.custom_elements:
+            buffer.fill(0.0)
+        buffer[pattern.dense_index] = data
+        matrix = buffer.reshape(size, size)
+        if self.custom_elements and state is not None:
+            system = MNASystem(self.num_nodes, size - self.num_nodes, matrix=matrix, rhs=rhs)
+            for element in self.custom_elements:
+                element.stamp(system, state)
+        return matrix
+
+    def densify_batched(self, data: np.ndarray) -> np.ndarray:
+        """The ``(trials, n, n)`` stack of ``(trials, nnz)`` pattern data.
+
+        The stacked :meth:`densify`, in its own reused buffer (valid until
+        the next call).  Batched analyses reject custom elements, so no
+        zeroing is ever needed.
+        """
+        size = self.size
+        buffer = self._workspace("dense_batched", data.shape[0], size * size)
+        buffer[:, self._stamp_pattern().dense_index] = data
+        return buffer.reshape(data.shape[0], size, size)
 
     def assemble_sparse(
         self,
@@ -900,20 +878,20 @@ class CompiledCircuit:
         source_scale: float = 1.0,
         cap_history: Optional[np.ndarray] = None,
         cache_base: bool = True,
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
-        cap_g: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble the linearized system at ``state`` as CSC pattern data.
 
-        The sparse twin of :meth:`assemble`: element stamps scatter straight
-        into the precomputed CSC positions of :meth:`sparsity_pattern`, so no
-        ``(n, n)`` matrix is ever formed.  Returns ``(data, rhs)`` where
-        ``data`` is the ``(nnz,)`` value array of the pattern — each entry
-        bit-identical to the dense assembly gathered at the pattern's
-        (row, col) position — and ``rhs`` the ghost-trimmed right-hand side.
+        Element stamps scatter straight into the precomputed CSC positions
+        of :meth:`sparsity_pattern`, so no ``(n, n)`` matrix is formed.
+        Returns fresh ``(data, rhs)`` arrays: the ``(nnz,)`` value array of
+        the pattern and the ghost-trimmed right-hand side.
 
+        ``source_scale`` scales every independent source (the
+        source-stepping fallback); ``cap_history`` supplies the trapezoidal
+        capacitor history currents (read from the elements when omitted).
         Circuits with custom (compatibility-path) elements are rejected:
-        their ``stamp()`` needs the dense matrix view.
+        their ``stamp()`` needs the dense matrix view
+        (:meth:`AnalysisEngine.assemble_system`).
         """
         pattern = self.sparsity_pattern()
         if pattern is None:
@@ -921,188 +899,18 @@ class CompiledCircuit:
                 "sparse assembly does not support custom (stamp-path) elements; "
                 "assemble these circuits densely"
             )
-        data = self._base_data(
-            state.gmin, state.timestep_s, state.integration, cache=cache_base
-        ).copy()
-        rhs = self._linear_rhs(state, source_scale, cap_history, source_values, cap_g)
-
-        if self.num_mosfets:
-            forward, drain, source, gds, gm, i_eq = self._mosfet_companion(
-                self._pad(state.solution), self.mos_beta, self.mos_vth, self.mos_lambda
-            )
-            pos = np.where(forward, pattern.mos_pos_forward, pattern.mos_pos_reverse)
-            vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm))
-            # Same bincount accumulation as the dense stamp — the (8, M)
-            # position rows ravel in the dense path's group-major entry
-            # order, so shared cells accumulate in the identical sequence.
-            data += np.bincount(pos.ravel(), weights=vals, minlength=pattern.nnz + 1)
-            rhs += np.bincount(
-                np.concatenate((drain, source)),
-                weights=np.concatenate((-i_eq, i_eq)),
-                minlength=self._ghost,
-            )
-
+        data, rhs = self._round(
+            self._base_data(
+                state.gmin, state.timestep_s, state.integration, cache=cache_base
+            ),
+            self._linear_rhs(state, source_scale, cap_history),
+            self._pad(state.solution),
+        )
         return data[: pattern.nnz], rhs[: self.size]
 
     # ------------------------------------------------------------------ #
     # batched assembly (stacked Monte-Carlo trials)
     # ------------------------------------------------------------------ #
-
-    def assemble_batched(
-        self,
-        solutions: np.ndarray,
-        params: Optional[Mapping[str, np.ndarray]] = None,
-        gmin: float = 1e-9,
-        time_s: float = 0.0,
-        source_scale: float = 1.0,
-        timestep_s: Optional[float] = None,
-        integration: str = "be",
-        previous_solutions: Optional[np.ndarray] = None,
-        cap_history: Optional[np.ndarray] = None,
-        source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
-        cap_g_rows: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble ``(trials, n, n)`` systems for stacked parameter sets.
-
-        ``solutions`` is the ``(trials, n)`` stack of Newton iterates;
-        ``params`` maps perturbable parameter names (see
-        :data:`PERTURBABLE_PARAMETERS`) to ``(trials, count)`` stacks — any
-        parameter not given uses the compiled (possibly overlaid) value
-        vector for every trial.  The per-trial arithmetic mirrors
-        :meth:`assemble` operation for operation — including the sequential
-        ``np.add.at`` accumulation order of entries that share a matrix
-        cell — so a trial's assembled system is bit-identical to a serial
-        assembly with the same parameters; this is what makes the batched
-        Monte-Carlo path reproduce the per-trial path exactly.
-
-        With ``timestep_s`` set the assembly includes the capacitor
-        companion models of the selected ``integration``:
-        ``previous_solutions`` is the ``(trials, n)`` stack of the last
-        accepted time point (``cap_v0`` when omitted, matching the serial
-        path's first-step semantics) and ``cap_history`` the ``(trials,
-        num_capacitors)`` trapezoidal history currents.  ``source_values``
-        optionally hands in the (already ``source_scale``-scaled) raw
-        waveform values so a lockstep march evaluates each waveform once
-        per timestep instead of once per Newton round; per-trial
-        ``vsource_scale``/``isource_scale`` stacks still compose on top.
-
-        Circuits with custom (compatibility-path) elements are rejected —
-        their ``stamp()`` cannot be vectorized across trials.
-        """
-        if self.custom_elements:
-            raise ValueError(
-                "batched assembly does not support custom (stamp-path) elements; "
-                "run these circuits through the per-trial path"
-            )
-        params = dict(params or {})
-        solutions = self._check_solution_stack(solutions)
-        trials = solutions.shape[0]
-        ghost = self._ghost
-        cells = ghost * ghost
-        trial_offsets = np.arange(trials)[:, None]
-
-        # Linear (trial-independent) part first.  When no stack perturbs the
-        # static stamps — no resistor_ohm rows, and no cap_c rows if this is
-        # a transient assembly — every trial's linear part is exactly the
-        # serial cached base matrix, so broadcast-copy it instead of
-        # re-accumulating it per round (the lockstep-march fast path).
-        resistance = params.get("resistor_ohm")
-        cap_c = params.get("cap_c") if timestep_s is not None else None
-        cap_g_rows = self._batched_cap_g_rows(
-            trials, cap_c, timestep_s, integration, cap_g_rows
-        )
-        if resistance is None and cap_c is None:
-            matrices = np.empty((trials, ghost, ghost))
-            matrices[:] = self._base_matrix(gmin, timestep_s, integration)
-            flat_all = matrices.reshape(-1)
-        else:
-            # Static part: resistors + voltage-source branch structure,
-            # exactly the accumulation order of the serial base matrix.
-            matrices = np.zeros((trials, ghost, ghost))
-            flat_all = matrices.reshape(-1)
-            static_idx = self._static_rows * ghost + self._static_cols
-            if static_idx.size:
-                if resistance is None:
-                    matrices += np.bincount(
-                        static_idx, weights=self._static_vals, minlength=cells
-                    ).reshape(ghost, ghost)
-                else:
-                    conductance = 1.0 / np.asarray(resistance, dtype=float)
-                    n4 = 4 * len(self.resistors)
-                    vals = np.broadcast_to(
-                        self._static_vals, (trials, self._static_vals.size)
-                    ).copy()
-                    vals[:, 0:n4:4] = conductance
-                    vals[:, 1:n4:4] = conductance
-                    vals[:, 2:n4:4] = -conductance
-                    vals[:, 3:n4:4] = -conductance
-                    flat_all += np.bincount(
-                        (trial_offsets * cells + static_idx[None, :]).ravel(),
-                        weights=vals.ravel(),
-                        minlength=trials * cells,
-                    )
-            node_diag = np.arange(self.num_nodes)
-            matrices[:, node_diag, node_diag] += gmin
-
-            # Capacitor companion conductances (transient only), stamped
-            # after the gmin diagonal exactly like the serial base matrix.
-            # np.add.at (not bincount) because capacitor entries may share
-            # cells with the static stamps (a pull-up resistor in parallel
-            # with the load capacitor) and the serial path accumulates
-            # those sequentially.
-            if cap_g_rows is not None:
-                cap_cells = (
-                    np.concatenate((self.cap_a, self.cap_b, self.cap_a, self.cap_b))
-                    * ghost
-                    + np.concatenate((self.cap_a, self.cap_b, self.cap_b, self.cap_a))
-                )
-                np.add.at(
-                    flat_all,
-                    (trial_offsets * cells + cap_cells[None, :]).ravel(),
-                    np.concatenate(
-                        (cap_g_rows, cap_g_rows, -cap_g_rows, -cap_g_rows), axis=1
-                    ).ravel(),
-                )
-
-        rhs = self._linear_rhs_batched(
-            trials,
-            params,
-            time_s,
-            source_scale,
-            integration,
-            previous_solutions,
-            cap_history,
-            source_values,
-            cap_g_rows,
-        )
-        rhs_flat = rhs.reshape(-1)
-
-        # MOSFET companion stamps, vectorized over (trials, devices).
-        if self.num_mosfets:
-            forward, drain, source, gds, gm, i_eq = self._mosfet_companion_batched(
-                solutions, params
-            )
-            gate = np.broadcast_to(self.mos_g, drain.shape)
-            rows = np.concatenate(
-                (drain, source, drain, source, drain, drain, source, source), axis=1
-            )
-            cols = np.concatenate(
-                (drain, source, source, drain, gate, source, gate, source), axis=1
-            )
-            vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm), axis=1)
-            flat_all += np.bincount(
-                (trial_offsets * cells + rows * ghost + cols).ravel(),
-                weights=vals.ravel(),
-                minlength=trials * cells,
-            )
-            rhs_rows = np.concatenate((drain, source), axis=1)
-            rhs_flat += np.bincount(
-                (trial_offsets * ghost + rhs_rows).ravel(),
-                weights=np.concatenate((-i_eq, i_eq), axis=1).ravel(),
-                minlength=trials * ghost,
-            )
-
-        return matrices[:, : self.size, : self.size], rhs[:, : self.size]
 
     def _check_solution_stack(self, solutions: np.ndarray) -> np.ndarray:
         solutions = np.asarray(solutions, dtype=float)
@@ -1138,35 +946,82 @@ class CompiledCircuit:
             )
         return self._capacitor_conductance_stacked(cap_c, timestep_s, integration)
 
-    def _linear_rhs_batched(
+    def _linear_batched(
         self,
         trials: int,
         params: Mapping[str, np.ndarray],
+        gmin: float,
         time_s: float,
         source_scale: float,
+        timestep_s: Optional[float],
         integration: str,
         previous_solutions: Optional[np.ndarray],
         cap_history: Optional[np.ndarray],
         source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]],
         cap_g_rows: Optional[np.ndarray],
-        reuse_workspace: bool = False,
-    ) -> np.ndarray:
-        """The stacked linear right-hand side (sources + cap history).
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacked linear part: ``(base, rhs_lin)``.
 
-        Shared by the dense and the sparse batched assembly; the per-trial
-        arithmetic mirrors :meth:`_linear_rhs` operation for operation.
-        With ``reuse_workspace`` the returned stack lives in a per-compiled
-        scratch buffer that the next workspace-mode assembly overwrites
-        (the Newton hot path consumes it within the round).
+        ``base`` is the shared ``(nnz + 1,)`` :meth:`_base_data` when no
+        parameter stack perturbs the linear stamps (no ``resistor_ohm``
+        rows, and no ``cap_c`` rows if this is a transient assembly), else
+        a ``(trials, nnz + 1)`` stack accumulated in the serial base order;
+        ``rhs_lin`` is the ``(trials, size + 1)`` source and capacitor
+        history right-hand side.  Row ``t`` is bit-identical to the serial
+        linear part with trial ``t``'s parameters.
         """
-        ghost = self._ghost
+        pattern = self._stamp_pattern()
+        slots = pattern.nnz + 1  # trailing trash slot per trial
         trial_offsets = np.arange(trials)[:, None]
+        resistance = params.get("resistor_ohm")
+        cap_c = params.get("cap_c") if timestep_s is not None else None
+        cap_g_rows = self._batched_cap_g_rows(
+            trials, cap_c, timestep_s, integration, cap_g_rows
+        )
+        if resistance is None and cap_c is None:
+            base = self._base_data(gmin, timestep_s, integration)
+        else:
+            # Static entries, then the gmin diagonal, then the capacitor
+            # companions (np.add.at for the capacitors — they may share
+            # positions with the static stamps, and the serial path
+            # accumulates those sequentially).
+            base = np.zeros((trials, slots))
+            base_flat = base.reshape(-1)
+            if self._static_rows.size:
+                if resistance is None:
+                    base += np.bincount(
+                        pattern.static_pos, weights=self._static_vals, minlength=slots
+                    )
+                else:
+                    conductance = 1.0 / np.asarray(resistance, dtype=float)
+                    n4 = 4 * len(self.resistors)
+                    vals = np.broadcast_to(
+                        self._static_vals, (trials, self._static_vals.size)
+                    ).copy()
+                    vals[:, 0:n4:4] = conductance
+                    vals[:, 1:n4:4] = conductance
+                    vals[:, 2:n4:4] = -conductance
+                    vals[:, 3:n4:4] = -conductance
+                    base_flat += np.bincount(
+                        (trial_offsets * slots + pattern.static_pos[None, :]).ravel(),
+                        weights=vals.ravel(),
+                        minlength=trials * slots,
+                    )
+            base[:, pattern.gmin_diag_pos] += gmin
+            if cap_g_rows is not None:
+                np.add.at(
+                    base_flat,
+                    (trial_offsets * slots + pattern.cap_pos[None, :]).ravel(),
+                    np.concatenate(
+                        (cap_g_rows, cap_g_rows, -cap_g_rows, -cap_g_rows), axis=1
+                    ).ravel(),
+                )
+            base[:, pattern.nnz] = 0.0
+
+        ghost = self._ghost
         # Independent sources (per-trial scale stacks compose exactly like
         # the serial vs_scale/is_scale overlay multipliers).
-        if reuse_workspace:
-            rhs = self._workspace("batched_rhs", trials, ghost, zero=True)
-        else:
-            rhs = np.zeros((trials, ghost))
+        rhs = np.zeros((trials, ghost))
         rhs_flat = rhs.reshape(-1)
         raw_v, raw_i = source_values if source_values is not None else (None, None)
         if self.voltage_sources:
@@ -1208,15 +1063,13 @@ class CompiledCircuit:
             )
 
         # Capacitor companion history currents, added to the RHS after the
-        # sources and before the MOSFET stamps (the serial order).
+        # sources (the serial order).
         if cap_g_rows is not None:
             if previous_solutions is None:
                 v_prev = np.broadcast_to(self.cap_v0, (trials, self.num_capacitors))
             else:
-                # Scratch only: v_prev below is a gather (copy) from it.
-                prev = self._workspace("batched_prev", trials, self.size + 1)
+                prev = np.zeros((trials, ghost))
                 prev[:, : self.size] = previous_solutions
-                prev[:, self.size] = 0.0
                 v_prev = prev[:, self.cap_a] - prev[:, self.cap_b]
             i_eq = cap_g_rows * v_prev
             if integration == "trap":
@@ -1238,24 +1091,61 @@ class CompiledCircuit:
                 (trial_offsets * ghost + self.cap_b[None, :]).ravel(),
                 (-i_eq).ravel(),
             )
-        return rhs
+        return base, rhs
 
-    def _mosfet_companion_batched(
-        self, solutions: np.ndarray, params: Mapping[str, np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked :meth:`_mosfet_companion` with per-trial parameter stacks."""
+    def _round_batched(
+        self,
+        base: np.ndarray,
+        rhs_lin: np.ndarray,
+        solutions: np.ndarray,
+        params: Mapping[str, np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One stacked Newton round: :meth:`_round` over ``(trials, n)`` iterates.
+
+        ``base`` is shared ``(nnz + 1,)`` or per-trial, ``rhs_lin`` the
+        ``(trials, size + 1)`` stack of :meth:`_linear_batched` (already
+        restricted to the rows of ``solutions``).  Returns ``(trials, nnz +
+        1)`` data and ``(trials, size + 1)`` RHS stacks in reused buffers,
+        valid until the next round.
+        """
         trials = solutions.shape[0]
-        # Scratch only: _mosfet_companion gathers (copies) from the padded
-        # iterate, so the buffer can be recycled across Newton rounds.
-        padded = self._workspace("mos_padded", trials, self.size + 1)
+        ghost = self._ghost
+        slots = self._stamp_pattern().nnz + 1
+        data = self._workspace("round_data", trials, slots)
+        rhs = self._workspace("round_rhs", trials, ghost)
+        padded = self._workspace("round_padded", trials, ghost)
+        if not self.num_mosfets:
+            data[:] = base
+            rhs[:] = rhs_lin
+            return data, rhs
+        # The ghost column is never written, so it stays zero.
         padded[:, : self.size] = solutions
-        padded[:, self.size] = 0.0
-        return self._mosfet_companion(
+        pos, vals, rhs_pos, rhs_vals = self._mosfet_stamps(
             padded,
             params.get("mos_beta", self.mos_beta),
             params.get("mos_vth", self.mos_vth),
             params.get("mos_lambda", self.mos_lambda),
         )
+        offsets = np.arange(trials)[:, None, None]
+        np.add(
+            base,
+            np.bincount(
+                (offsets * slots + pos).ravel(),
+                weights=vals.ravel(),
+                minlength=trials * slots,
+            ).reshape(trials, slots),
+            out=data,
+        )
+        np.add(
+            rhs_lin,
+            np.bincount(
+                (offsets * ghost + rhs_pos).ravel(),
+                weights=rhs_vals.ravel(),
+                minlength=trials * ghost,
+            ).reshape(trials, ghost),
+            out=rhs,
+        )
+        return data, rhs
 
     def assemble_sparse_batched(
         self,
@@ -1270,29 +1160,31 @@ class CompiledCircuit:
         cap_history: Optional[np.ndarray] = None,
         source_values: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = None,
         cap_g_rows: Optional[np.ndarray] = None,
-        reuse_workspace: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble ``(trials, nnz)`` CSC data stacks for stacked trials.
 
-        The sparse twin of :meth:`assemble_batched`: same signature, same
-        per-trial arithmetic, but element stamps scatter into the shared CSC
-        pattern of :meth:`sparsity_pattern` instead of dense ``(n, n)``
-        matrices, so the memory footprint is ``trials * nnz`` rather than
-        ``trials * n^2``.  Row ``t`` of the returned ``data`` is
+        ``solutions`` is the ``(trials, n)`` stack of Newton iterates;
+        ``params`` maps perturbable parameter names (see
+        :data:`PERTURBABLE_PARAMETERS`) to ``(trials, count)`` stacks — any
+        parameter not given uses the compiled (possibly overlaid) value
+        vector for every trial.  Row ``t`` of the returned ``data`` is
         bit-identical to :meth:`assemble_sparse` with trial ``t``'s
-        parameters — and therefore to the dense batched assembly gathered at
-        the pattern positions.
+        parameters, and the memory footprint is ``trials * nnz`` rather than
+        ``trials * n^2``.
 
-        The shared-base fast path is kept: when no parameter stack perturbs
-        the linear part (no ``resistor_ohm`` rows, and no ``cap_c`` rows if
-        this is a transient assembly), every trial's linear data is a
-        broadcast copy of the cached nominal :meth:`_base_data`.
+        With ``timestep_s`` set the assembly includes the capacitor
+        companion models of the selected ``integration``:
+        ``previous_solutions`` is the ``(trials, n)`` stack of the last
+        accepted time point (``cap_v0`` when omitted, matching the serial
+        path's first-step semantics) and ``cap_history`` the ``(trials,
+        num_capacitors)`` trapezoidal history currents.  ``source_values``
+        optionally hands in the (already ``source_scale``-scaled) raw
+        waveform values so a lockstep march evaluates each waveform once
+        per timestep; per-trial ``vsource_scale``/``isource_scale`` stacks
+        still compose on top.  The returned arrays are fresh.
 
-        ``reuse_workspace`` (the batched Newton hot path) assembles into
-        preallocated per-compiled scratch buffers instead of fresh arrays —
-        same bits, no per-round allocation churn — at the price that the
-        returned arrays are only valid until the next workspace-mode
-        assembly.  Direct callers keep the allocating default.
+        Circuits with custom (compatibility-path) elements are rejected —
+        their ``stamp()`` cannot be vectorized across trials.
         """
         pattern = self.sparsity_pattern()
         if pattern is None:
@@ -1302,100 +1194,21 @@ class CompiledCircuit:
             )
         params = dict(params or {})
         solutions = self._check_solution_stack(solutions)
-        trials = solutions.shape[0]
-        slots = pattern.nnz + 1  # trailing trash slot per trial
-        trial_offsets = np.arange(trials)[:, None]
-
-        resistance = params.get("resistor_ohm")
-        cap_c = params.get("cap_c") if timestep_s is not None else None
-        cap_g_rows = self._batched_cap_g_rows(
-            trials, cap_c, timestep_s, integration, cap_g_rows
-        )
-        if resistance is None and cap_c is None:
-            if reuse_workspace:
-                data = self._workspace("sparse_data", trials, slots)
-            else:
-                data = np.empty((trials, slots))
-            data[:] = self._base_data(gmin, timestep_s, integration)
-            data_flat = data.reshape(-1)
-        else:
-            # Static part in the serial base-data accumulation order:
-            # static entries, then the gmin diagonal, then the capacitor
-            # companions (np.add.at for the capacitors — they may share
-            # positions with the static stamps, and the serial path
-            # accumulates those sequentially).
-            if reuse_workspace:
-                data = self._workspace("sparse_data", trials, slots, zero=True)
-            else:
-                data = np.zeros((trials, slots))
-            data_flat = data.reshape(-1)
-            if self._static_rows.size:
-                if resistance is None:
-                    data += np.bincount(
-                        pattern.static_pos, weights=self._static_vals, minlength=slots
-                    )
-                else:
-                    conductance = 1.0 / np.asarray(resistance, dtype=float)
-                    n4 = 4 * len(self.resistors)
-                    vals = np.broadcast_to(
-                        self._static_vals, (trials, self._static_vals.size)
-                    ).copy()
-                    vals[:, 0:n4:4] = conductance
-                    vals[:, 1:n4:4] = conductance
-                    vals[:, 2:n4:4] = -conductance
-                    vals[:, 3:n4:4] = -conductance
-                    data_flat += np.bincount(
-                        (trial_offsets * slots + pattern.static_pos[None, :]).ravel(),
-                        weights=vals.ravel(),
-                        minlength=trials * slots,
-                    )
-            data[:, pattern.gmin_diag_pos] += gmin
-            if cap_g_rows is not None:
-                np.add.at(
-                    data_flat,
-                    (trial_offsets * slots + pattern.cap_pos[None, :]).ravel(),
-                    np.concatenate(
-                        (cap_g_rows, cap_g_rows, -cap_g_rows, -cap_g_rows), axis=1
-                    ).ravel(),
-                )
-            data[:, pattern.nnz] = 0.0
-
-        rhs = self._linear_rhs_batched(
-            trials,
+        base, rhs_lin = self._linear_batched(
+            solutions.shape[0],
             params,
+            gmin,
             time_s,
             source_scale,
+            timestep_s,
             integration,
             previous_solutions,
             cap_history,
             source_values,
             cap_g_rows,
-            reuse_workspace=reuse_workspace,
         )
-
-        if self.num_mosfets:
-            forward, drain, source, gds, gm, i_eq = self._mosfet_companion_batched(
-                solutions, params
-            )
-            pos = np.where(
-                forward[:, None, :],
-                pattern.mos_pos_forward[None, :, :],
-                pattern.mos_pos_reverse[None, :, :],
-            )
-            vals = np.concatenate((gds, gds, -gds, -gds, gm, -gm, -gm, gm), axis=1)
-            data_flat += np.bincount(
-                (np.arange(trials)[:, None, None] * slots + pos).ravel(),
-                weights=vals.ravel(),
-                minlength=trials * slots,
-            )
-            rhs_rows = np.concatenate((drain, source), axis=1)
-            rhs.reshape(-1)[:] += np.bincount(
-                (trial_offsets * self._ghost + rhs_rows).ravel(),
-                weights=np.concatenate((-i_eq, i_eq), axis=1).ravel(),
-                minlength=trials * self._ghost,
-            )
-
-        return data[:, : pattern.nnz], rhs[:, : self.size]
+        data, rhs = self._round_batched(base, rhs_lin, solutions, params)
+        return data[:, : pattern.nnz].copy(), rhs[:, : self.size].copy()
 
 
 class AnalysisEngine:
@@ -1446,6 +1259,22 @@ class AnalysisEngine:
         if threads is not None:
             return get_solver(solver, threads=threads)
         return self.solver if solver is None else get_solver(solver)
+
+    def solver_provenance(
+        self,
+        solver: Union[None, str, LinearSolver] = None,
+        trials: Optional[int] = None,
+        threads: Union[None, int, str] = None,
+    ) -> Dict[str, object]:
+        """Which concrete backend (and fan-out thread count) a run resolves to.
+
+        Takes an analysis's ``solver=``/``threads=`` arguments (and the
+        trial count of a stacked run); see
+        :func:`~repro.spice.solvers.describe_backend`.
+        """
+        return describe_backend(
+            self._resolve_solver(solver, threads), self.compiled, trials
+        )
 
     @staticmethod
     def _solver_counts(solvers: Sequence[Optional[LinearSolver]]) -> Dict[str, int]:
@@ -1503,8 +1332,22 @@ class AnalysisEngine:
     def assemble_system(
         self, state: AnalysisState, source_scale: float = 1.0
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble (matrix, rhs) at ``state`` through the compiled path."""
-        return self.compiled.assemble(state, source_scale=source_scale)
+        """Assemble a fresh dense ``(matrix, rhs)`` pair at ``state``.
+
+        The dense scatter of the pattern assembly, with any custom element's
+        ``stamp()`` applied on top — the matrix every dense Newton round
+        solves.  The arrays belong to the caller: no later assembly writes
+        into them.
+        """
+        compiled = self.compiled
+        data, rhs = compiled._round(
+            compiled._base_data(state.gmin, state.timestep_s, state.integration),
+            compiled._linear_rhs(state, source_scale, None),
+            compiled._pad(state.solution),
+        )
+        rhs = rhs[: compiled.size]
+        nnz = compiled._stamp_pattern().nnz
+        return compiled.densify(data[:nnz], rhs, state).copy(), rhs
 
     # ------------------------------------------------------------------ #
     # the Newton loop (the only copy in the package)
@@ -1530,7 +1373,9 @@ class AnalysisEngine:
         """One Newton-Raphson run; returns (solution, iterations, converged, max_update).
 
         The linear solve of each iteration goes through ``solver`` (the
-        engine's default backend when omitted).  A singular Jacobian bumps
+        engine's default backend when omitted), which takes the round's
+        pattern data — or, for circuits with custom elements, the dense
+        matrix their ``stamp()`` completed.  A singular Jacobian bumps
         ``gmin`` an order of magnitude and retries instead of raising, so
         structurally defective circuits report non-convergence rather than
         blowing up the caller.
@@ -1545,79 +1390,60 @@ class AnalysisEngine:
             solver = self.solver
         solver = solver.select(compiled)
         solver.bind(compiled)
-        # Pattern-assembly backends (sparse) take CSC data straight from
-        # assemble_sparse — no dense matrix is ever formed.  Circuits with
-        # custom elements have no pattern and keep the dense assembly.
-        pattern = (
-            compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
-        )
+        size = compiled.size
+        nnz = compiled._stamp_pattern().nnz
+        custom = bool(compiled.custom_elements)
         converged = False
         max_update = float("inf")
         iteration = 0
-        gmin_bumped = False
-        # Per-solve invariants, hoisted out of the iteration loop: the
-        # source waveform values (constant at one time point) and the
-        # capacitor companion conductances (set by the timestep alone).
-        source_values = compiled._source_values(time_s, source_scale)
-        cap_g = (
-            compiled._capacitor_conductance(timestep_s, integration)
-            if timestep_s is not None and compiled.num_capacitors
-            else None
+        # Per-run invariants: only the MOSFET companion depends on the
+        # iterate, so the linear data and RHS are built once per run.
+        state = AnalysisState(
+            solution=solution,
+            time_s=time_s,
+            timestep_s=timestep_s,
+            previous_solution=previous_solution,
+            integration=integration,
+            gmin=gmin,
         )
+        base = compiled._base_data(gmin, timestep_s, integration)
+        rhs_lin = compiled._linear_rhs(state, source_scale, cap_history)
+        padded = compiled._pad(solution)
         for iteration in range(1, max_iterations + 1):
-            state = AnalysisState(
-                solution=solution,
-                time_s=time_s,
-                timestep_s=timestep_s,
-                previous_solution=previous_solution,
-                integration=integration,
-                gmin=gmin,
-            )
+            data, rhs = compiled._round(base, rhs_lin, padded)
+            system = data[:nnz]
+            rhs = rhs[:size]
             bypassed = False
             try:
-                if pattern is not None:
-                    data, rhs = compiled.assemble_sparse(
-                        state,
-                        source_scale,
-                        cap_history,
-                        cache_base=not gmin_bumped,
-                        source_values=source_values,
-                        cap_g=cap_g,
+                if custom:
+                    # Custom stamp() elements complete the dense matrix.
+                    system = compiled.densify(
+                        system, rhs, dataclasses.replace(state, solution=solution, gmin=gmin)
                     )
-                    if reuse_state is None:
-                        new_solution = solver.solve_pattern(data, rhs)
-                    else:
-                        new_solution, bypassed = self._reuse_solve(
-                            solver, reuse_state, solution, data, rhs, pattern
-                        )
+                if reuse_state is not None:
+                    new_solution, bypassed = self._reuse_solve(
+                        solver, reuse_state, solution, system, rhs, custom
+                    )
+                elif custom:
+                    new_solution = solver.solve(system, rhs)
                 else:
-                    matrix, rhs = compiled.assemble(
-                        state,
-                        source_scale,
-                        cap_history,
-                        cache_base=not gmin_bumped,
-                        source_values=source_values,
-                        cap_g=cap_g,
-                    )
-                    if reuse_state is None:
-                        new_solution = solver.solve(matrix, rhs)
-                    else:
-                        new_solution, bypassed = self._reuse_solve(
-                            solver, reuse_state, solution, matrix, rhs, None
-                        )
+                    new_solution = solver.solve_pattern(system, rhs)
             except np.linalg.LinAlgError:
                 if reuse_state is not None:
                     reuse_state.invalidate()
                 gmin = max(gmin * 10.0, 1e-12)
-                gmin_bumped = True
+                base = compiled._base_data(gmin, timestep_s, integration, cache=False)
                 continue
 
             update = new_solution - solution
-            max_update = float(np.max(np.abs(update))) if update.size else 0.0
+            max_update = float(np.abs(update).max()) if update.size else 0.0
             # Per-unknown clamp: a runaway node (e.g. a floating terminal
             # hanging off a cut-off transistor) must not stall the rest.
-            update = np.clip(update, -damping_v, damping_v)
+            # Within the clamp (the common case) it is the identity.
+            if not max_update <= damping_v:
+                update = np.clip(update, -damping_v, damping_v)
             solution = solution + update
+            padded[:size] = solution
             if reuse_state is not None:
                 reuse_state.observe(bypassed, max_update, tolerance_v)
 
@@ -1633,11 +1459,13 @@ class AnalysisEngine:
         solution: np.ndarray,
         system: np.ndarray,
         rhs: np.ndarray,
-        pattern,
+        dense: bool,
     ) -> Tuple[np.ndarray, bool]:
         """One Newton linear solve through the march's frozen factorization.
 
-        Returns ``(new_solution, bypassed)``.  Three regimes:
+        ``system`` is the round's pattern data, or its dense matrix when
+        ``dense`` (circuits with custom elements).  Returns
+        ``(new_solution, bypassed)``.  Three regimes:
 
         * the assembled system is bitwise identical to the frozen one —
           solving through the kept LU *is* this round's full Newton step
@@ -1657,19 +1485,15 @@ class AnalysisEngine:
             if fingerprint == handle.fingerprint:
                 return handle.solve(rhs), False
             if not state.stale and state.engaged():
-                if pattern is not None:
-                    ax = np.bincount(
-                        pattern.rows,
-                        weights=system * solution[pattern.cols],
-                        minlength=pattern.size,
-                    )
-                else:
+                if dense:
                     ax = system @ solution
+                else:
+                    ax = solver.matvec_pattern(system, solution)
                 return solution - handle.solve(ax - rhs), True
-        if pattern is not None:
-            handle = solver.factorize_pattern(system)
-        else:
+        if dense:
             handle = solver.factorize(system)
+        else:
+            handle = solver.factorize_pattern(system)
         state.freeze(handle)
         return handle.solve(rhs), False
 
@@ -1831,10 +1655,11 @@ class AnalysisEngine:
         serial :meth:`_newton` run with that trial's parameters, and a trial
         is frozen the moment it converges, so batched results match the
         per-trial path bit for bit.  A singular system anywhere in the
-        stack ends the batched run early; every trial still active at the
-        abort comes back flagged in ``poisoned`` (a serial run would have
-        bumped gmin mid-iteration, so those trials' states no longer track
-        the serial path and must be rescued per trial by the caller).
+        stack is isolated by re-solving that round row by row; the
+        genuinely singular trials leave the stack flagged in ``poisoned`` (a
+        serial run would have bumped gmin mid-iteration, so those trials'
+        states no longer track the serial path and must be rescued per
+        trial by the caller).
 
         With ``timestep_s`` set this is one lockstep *transient* Newton
         round over the stack: ``previous_solutions``/``cap_history`` carry
@@ -1852,6 +1677,11 @@ class AnalysisEngine:
         bit-compatible default rounds.
         """
         compiled = self.compiled
+        if compiled.custom_elements:
+            raise ValueError(
+                "batched assembly does not support custom (stamp-path) elements; "
+                "run these circuits through the per-trial path"
+            )
         trials = solutions.shape[0]
         iterations = np.zeros(trials, dtype=int)
         converged = np.zeros(trials, dtype=bool)
@@ -1860,24 +1690,26 @@ class AnalysisEngine:
         active = np.ones(trials, dtype=bool)
         solver = solver.select(compiled, trials)
         solver.bind(compiled)
-        # Pattern-assembly backends (sparse) get (trials, nnz) CSC data
-        # stacks instead of dense (trials, n, n) stacks — same per-trial
-        # arithmetic, trials * nnz memory instead of trials * n^2.
-        pattern = (
-            compiled.sparsity_pattern() if solver.wants_pattern_assembly else None
+        nnz = compiled._stamp_pattern().nnz
+        size = compiled.size
+        # Per-run invariants: the stacked linear data and RHS, built once
+        # for every trial and gathered down to the active rows per round.
+        base, rhs_lin = compiled._linear_batched(
+            trials,
+            params,
+            gmin,
+            time_s,
+            source_scale,
+            timestep_s,
+            integration,
+            previous_solutions,
+            cap_history,
+            source_values,
+            cap_g_rows,
         )
-        assemble = (
-            compiled.assemble_sparse_batched
-            if pattern is not None
-            else compiled.assemble_batched
-        )
-        # The hot path owns the assembled arrays for exactly one round, so
-        # the sparse assembly may recycle its scratch buffers.
-        assemble_kwargs = {"reuse_workspace": True} if pattern is not None else {}
-        use_reuse = (
-            reuse_states is not None
-            and pattern is not None
-            and hasattr(solver, "factorize_pattern_batched")
+        per_trial_base = base.ndim == 2
+        use_reuse = reuse_states is not None and hasattr(
+            solver, "factorize_pattern_batched"
         )
         for iteration in range(1, max_iterations + 1):
             index = np.flatnonzero(active)
@@ -1888,49 +1720,24 @@ class AnalysisEngine:
                 # stable so every trial keeps its own frozen LU across
                 # rounds, and frozen/converged trials simply drop out of
                 # the factorization mask instead of being re-packed.
-                matrices, rhs = assemble(
-                    solutions,
-                    params,
-                    gmin=gmin,
-                    time_s=time_s,
-                    timestep_s=timestep_s,
-                    integration=integration,
-                    previous_solutions=previous_solutions,
-                    cap_history=cap_history,
-                    source_values=source_values,
-                    cap_g_rows=cap_g_rows,
-                    source_scale=source_scale,
-                    **assemble_kwargs,
-                )
+                data, rhs = compiled._round_batched(base, rhs_lin, solutions, params)
                 new_solutions, index, bypassed = self._reuse_round_batched(
-                    solver, reuse_states, solutions, matrices, rhs, index,
-                    pattern, active, poisoned,
+                    solver, reuse_states, solutions, data[:, :nnz], rhs[:, :size],
+                    index, active, poisoned,
                 )
                 if index.size == 0:
                     break
             else:
-                subset = {name: stack[index] for name, stack in params.items()}
-                matrices, rhs = assemble(
+                data, rhs = compiled._round_batched(
+                    base[index] if per_trial_base else base,
+                    rhs_lin[index],
                     solutions[index],
-                    subset,
-                    gmin=gmin,
-                    time_s=time_s,
-                    timestep_s=timestep_s,
-                    integration=integration,
-                    previous_solutions=(
-                        None if previous_solutions is None else previous_solutions[index]
-                    ),
-                    cap_history=None if cap_history is None else cap_history[index],
-                    source_values=source_values,
-                    cap_g_rows=None if cap_g_rows is None else cap_g_rows[index],
-                    source_scale=source_scale,
-                    **assemble_kwargs,
+                    {name: stack[index] for name, stack in params.items()},
                 )
+                data = data[:, :nnz]
+                rhs = rhs[:, :size]
                 try:
-                    if pattern is not None:
-                        new_solutions = solver.solve_pattern_batched(matrices, rhs)
-                    else:
-                        new_solutions = solver.solve_batched(matrices, rhs)
+                    new_solutions = solver.solve_pattern_batched(data, rhs)
                 except np.linalg.LinAlgError:
                     # A singular system anywhere raises for the whole stack.
                     # Isolate it: re-solve the round trial by trial (same
@@ -1942,12 +1749,7 @@ class AnalysisEngine:
                     bad = np.zeros(index.size, dtype=bool)
                     for row in range(index.size):
                         try:
-                            if pattern is not None:
-                                new_solutions[row] = solver.solve_pattern(
-                                    matrices[row], rhs[row]
-                                )
-                            else:
-                                new_solutions[row] = solver.solve(matrices[row], rhs[row])
+                            new_solutions[row] = solver.solve_pattern(data[row], rhs[row])
                         except np.linalg.LinAlgError:
                             bad[row] = True
                     if bad.any():
@@ -1986,7 +1788,6 @@ class AnalysisEngine:
         matrices: np.ndarray,
         rhs: np.ndarray,
         index: np.ndarray,
-        pattern,
         active: np.ndarray,
         poisoned: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -2018,11 +1819,7 @@ class AnalysisEngine:
                 refreeze.append(row)
             else:
                 residual = (
-                    np.bincount(
-                        pattern.rows,
-                        weights=matrices[trial] * solutions[trial][pattern.cols],
-                        minlength=pattern.size,
-                    )
+                    solver.matvec_pattern(matrices[trial], solutions[trial])
                     - rhs[trial]
                 )
                 new_solutions[row] = solutions[trial] - handle.solve(residual)
@@ -2498,14 +2295,15 @@ class AnalysisEngine:
         counts_before = self._solver_counts((resolved, self.solver))
         if use_initial_conditions:
             initial_solution = self.circuit.initial_solution()
+            dc_strategy = "initial-conditions"
         else:
             # The cold warm start always runs full Newton: far from the
             # operating point the Jacobian changes too fast for a frozen
             # factorization to contract, so reuse mode would only thrash
             # (refactor, stall, refactor) before the march even begins.
-            initial_solution = self.solve_dc(
-                gmin=gmin, time_s=0.0, refresh=False, solver=resolved
-            ).solution.copy()
+            warm = self.solve_dc(gmin=gmin, time_s=0.0, refresh=False, solver=resolved)
+            initial_solution = warm.solution.copy()
+            dc_strategy = warm.convergence_info.strategy
 
         controls = dict(
             max_newton_iterations=max_newton_iterations,
@@ -2541,6 +2339,7 @@ class AnalysisEngine:
             result.convergence_info,
             factorizations=factorizations,
             factorization_reuses=reuses,
+            dc_strategy=dc_strategy,
         )
         return result
 
@@ -2850,10 +2649,10 @@ class AnalysisEngine:
         grid) but carry their own parameter stacks (``params`` maps names
         from :data:`PERTURBABLE_PARAMETERS` to ``(trials, count)`` rows).
         Every timestep advances the whole stack together: each Newton round
-        assembles ``(trials, n, n)`` systems through
-        :meth:`CompiledCircuit.assemble_batched` and solves them in one
-        batched LAPACK call, with three structural savings over per-trial
-        marching:
+        assembles the ``(trials, nnz)`` pattern data stack of the active
+        trials (the linear part once per step) and solves it in one batched
+        call — a stacked LAPACK solve over the densified stack for the dense
+        backend — with three structural savings over per-trial marching:
 
         * source waveforms and breakpoint-free step timing are evaluated
           once per step, not once per trial;
@@ -2909,14 +2708,17 @@ class AnalysisEngine:
         # serial ladders inside solve_dc_batched, bit for bit).
         if use_initial_conditions:
             solutions = np.tile(circuit.initial_solution(), (count, 1))
+            dc_strategies = ["initial-conditions"] * count
         else:
             # Cold warm start at full Newton, exactly like solve_transient:
             # reuse mode only pays off once the march tracks a slowly
             # drifting Jacobian.
-            solutions = self.solve_dc_batched(
+            warm = self.solve_dc_batched(
                 stacks, trials=count, gmin=gmin, time_s=0.0, refresh=False,
                 solver=resolved,
-            ).solutions.copy()
+            )
+            solutions = warm.solutions.copy()
+            dc_strategies = list(warm.strategies)
 
         steps = int(round(stop_time_s / timestep_s))
         times = np.linspace(0.0, steps * timestep_s, steps + 1)
@@ -3052,6 +2854,7 @@ class AnalysisEngine:
                     newton_totals[trial] = info.newton_iterations
                     worst_residuals[trial] = info.max_newton_residual_v
                     strategies[trial] = "serial-fallback"
+                    dc_strategies[trial] = info.dc_strategy
             finally:
                 if saved_overlay is not None:
                     compiled.set_parameter_overlay(saved_overlay)
@@ -3071,6 +2874,7 @@ class AnalysisEngine:
             strategies=tuple(strategies),
             factorizations=factorizations,
             factorization_reuses=reuses,
+            dc_strategies=tuple(dc_strategies),
         )
 
     def _waveform_breakpoints(self, stop_time_s: float) -> np.ndarray:

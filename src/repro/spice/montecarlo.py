@@ -590,6 +590,7 @@ class MonteCarloEngine:
         iterations = np.zeros(trials, dtype=int)
         residuals = np.zeros(trials, dtype=float)
         strategies = []
+        dc_strategies = []
         factorizations = 0
         reuses = 0
         time_s = None
@@ -616,6 +617,7 @@ class MonteCarloEngine:
                 iterations[trial] = info.newton_iterations
                 residuals[trial] = info.max_newton_residual_v
                 strategies.append(info.strategy)
+                dc_strategies.append(info.dc_strategy)
                 factorizations += info.factorizations
                 reuses += info.factorization_reuses
         finally:
@@ -633,6 +635,7 @@ class MonteCarloEngine:
             strategies=tuple(strategies),
             factorizations=factorizations,
             factorization_reuses=reuses,
+            dc_strategies=tuple(dc_strategies),
         )
 
     def run(

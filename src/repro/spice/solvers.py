@@ -6,19 +6,22 @@ that solve through a :class:`LinearSolver` instance — the *solver seam* —
 so the backend can be swapped without touching the assembly or the
 iteration logic:
 
-* :class:`DenseSolver` — ``np.linalg.solve`` on the dense assembled matrix.
-  The default, and the reference the other backends are tested against.
+Every backend takes the engine's one assembly: the ``(nnz,)`` CSC data
+array of the compiled circuit's :class:`~repro.spice.engine.SparsityPattern`
+(:meth:`LinearSolver.solve_pattern`, stacked as ``(trials, nnz)`` in
+:meth:`LinearSolver.solve_pattern_batched`).
+
+* :class:`DenseSolver` — scatters the data into the compiled circuit's
+  reused dense buffer and solves it with ``np.linalg.solve``.  The default,
+  and the reference the other backends are tested against.
 * :class:`SparseSolver` — SciPy sparse LU (SuperLU) on a CSC matrix whose
-  *structure* is precomputed once from the compiled circuit's
-  :class:`~repro.spice.engine.SparsityPattern`.  A pattern-assembly backend
-  (:attr:`LinearSolver.wants_pattern_assembly`): the engine hands it the
-  ``(nnz,)`` CSC data array of ``CompiledCircuit.assemble_sparse`` directly,
-  so no dense matrix is ever formed.  Pays off on large lattices, where the
-  MNA matrix is overwhelmingly empty.  Requires the optional ``scipy``
-  dependency — install it directly or through this package's ``[sparse]``
-  extra.
-* :class:`BatchedDenseSolver` — stacks ``(trials, n, n)`` systems and
-  solves them in a single vectorized LAPACK call.  The Monte-Carlo engine
+  *structure* is precomputed once from the pattern, so no dense matrix is
+  ever formed.  Pays off on large lattices, where the MNA matrix is
+  overwhelmingly empty.  Requires the optional ``scipy`` dependency —
+  install it directly or through this package's ``[sparse]`` extra.
+* :class:`BatchedDenseSolver` — densifies the ``(trials, nnz)`` stack into
+  ``(trials, n, n)`` systems and solves them in a single vectorized LAPACK
+  call.  The Monte-Carlo engine
   runs same-pattern trials through this backend
   (:meth:`~repro.spice.montecarlo.MonteCarloEngine.run_batched_dc`); its
   per-system results are bit-identical to :class:`DenseSolver` on the same
@@ -86,6 +89,7 @@ __all__ = [
     "DEFAULT_DENSE_SPARSE_CROSSOVER",
     "DEFAULT_FACTOR_CACHE_CAPACITY",
     "get_solver",
+    "describe_backend",
     "resolve_threads",
     "available_backends",
     "scipy_available",
@@ -270,16 +274,16 @@ class LinearSolver:
     Implementations must raise ``np.linalg.LinAlgError`` on a singular
     system so the engine's fallbacks (gmin bumping) stay backend-agnostic.
 
-    :meth:`bind` is an optional pre-solve hook: the engine calls it with the
-    active :class:`~repro.spice.engine.CompiledCircuit` before a Newton run
-    so structure-caching backends (sparse) can precompute their sparsity
-    pattern once per compiled topology.
-
-    Backends that set :attr:`wants_pattern_assembly` receive CSC data
-    arrays assembled straight into the compiled circuit's
-    :class:`~repro.spice.engine.SparsityPattern`
-    (:meth:`solve_pattern`/:meth:`solve_pattern_batched`) instead of dense
-    matrices — the engine never materializes ``(n, n)`` for them.
+    :meth:`bind` is the pre-solve hook: the engine calls it with the
+    active :class:`~repro.spice.engine.CompiledCircuit` before a Newton run.
+    The engine then hands every round over as CSC data of the compiled
+    circuit's :class:`~repro.spice.engine.SparsityPattern`
+    (:meth:`solve_pattern`/:meth:`solve_pattern_batched`).  The base
+    implementations densify that data through the bound circuit's reused
+    buffer and call the dense :meth:`solve`/:meth:`solve_batched`;
+    structure-caching backends (sparse) override them and never form an
+    ``(n, n)`` matrix.  Circuits with custom ``stamp()`` elements are
+    solved through the dense :meth:`solve`.
 
     :meth:`select` resolves *policy* backends: the engine calls it with the
     compiled circuit (and the trial count for batched runs) right before a
@@ -290,11 +294,8 @@ class LinearSolver:
     #: Registry name of the backend (``solver="<name>"`` in the frontends).
     name = "base"
 
-    #: When True the engine assembles CSC pattern data
-    #: (``CompiledCircuit.assemble_sparse*``) and calls
-    #: :meth:`solve_pattern`/:meth:`solve_pattern_batched` instead of the
-    #: dense :meth:`solve`/:meth:`solve_batched`.
-    wants_pattern_assembly = False
+    #: The compiled circuit of the last :meth:`bind` (densifies pattern data).
+    _compiled = None
 
     # Monotonic work counters (class defaults; += lazily creates the
     # instance attributes, so no backend needs an __init__ for them).
@@ -326,7 +327,16 @@ class LinearSolver:
         return self
 
     def bind(self, compiled) -> None:
-        """Precompute per-topology structure (default: nothing to do)."""
+        """Adopt the compiled circuit whose pattern data the next solves take."""
+        self._compiled = compiled
+
+    def _bound(self):
+        if self._compiled is None:
+            raise RuntimeError(
+                f"the {self.name!r} backend needs a bound compiled circuit for "
+                "pattern data; bind() it first"
+            )
+        return self._compiled
 
     def solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve one ``(n, n)`` system; raises ``LinAlgError`` if singular."""
@@ -366,9 +376,7 @@ class LinearSolver:
 
     def solve_pattern(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve one system given as ``(nnz,)`` data of the bound pattern."""
-        raise NotImplementedError(
-            f"the {self.name!r} backend does not take pattern-assembled systems"
-        )
+        return self.solve(self._bound().densify(data), rhs)
 
     def solve_pattern_batched(
         self,
@@ -381,12 +389,25 @@ class LinearSolver:
         ``active`` limits the solves to the flagged trials exactly like
         :meth:`solve_batched`.
         """
-        if active is not None:
-            out = np.zeros_like(rhs)
-            for row in np.flatnonzero(active):
-                out[row] = self.solve_pattern(data[row], rhs[row])
-            return out
-        return np.stack([self.solve_pattern(d, r) for d, r in zip(data, rhs)])
+        matrices = self._bound().densify_batched(data)
+        if active is None:  # overrides of solve_batched may omit ``active``
+            return self.solve_batched(matrices, rhs)
+        return self.solve_batched(matrices, rhs, active=active)
+
+    def factorize_pattern(self, data: np.ndarray):
+        """A reuse handle over one pattern assembly (modified-Newton state).
+
+        The base handle holds a copy of the densified matrix (see
+        :meth:`factorize`), fingerprinted by the pattern data the engine
+        compares rounds by.
+        """
+        return _MatrixRefactorization(
+            self, self._bound().densify(data), FactorizationCache.fingerprint(data)
+        )
+
+    def matvec_pattern(self, data: np.ndarray, vector: np.ndarray) -> np.ndarray:
+        """``A @ vector`` for the matrix of ``(nnz,)`` pattern data."""
+        return self._bound().densify(data) @ vector
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -454,7 +475,6 @@ class SparseSolver(LinearSolver):
     """
 
     name = "sparse"
-    wants_pattern_assembly = True
 
     def __init__(self, cache_capacity: int = DEFAULT_FACTOR_CACHE_CAPACITY):
         # Fail at construction, not mid-Newton, when scipy is missing.
@@ -470,6 +490,7 @@ class SparseSolver(LinearSolver):
         self._warned_reprobe = False
 
     def bind(self, compiled) -> None:
+        super().bind(compiled)
         key = (id(compiled), compiled.revision)
         if key == self._bound_key:
             return
@@ -589,6 +610,25 @@ class SparseSolver(LinearSolver):
     def solve_pattern(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         lu, _, _ = self._factorize(data)
         return lu.solve(rhs)
+
+    def solve_pattern_batched(
+        self,
+        data: np.ndarray,
+        rhs: np.ndarray,
+        active: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        if active is not None:
+            out = np.zeros_like(rhs)
+            for row in np.flatnonzero(active):
+                out[row] = self.solve_pattern(data[row], rhs[row])
+            return out
+        return np.stack([self.solve_pattern(d, r) for d, r in zip(data, rhs)])
+
+    def matvec_pattern(self, data: np.ndarray, vector: np.ndarray) -> np.ndarray:
+        pattern = self._require_pattern("matvec_pattern")
+        return np.bincount(
+            pattern.rows, weights=data * vector[pattern.cols], minlength=pattern.size
+        )
 
     def factorize_pattern(self, data: np.ndarray) -> Factorization:
         """A reuse handle over one pattern assembly (modified-Newton state).
@@ -770,28 +810,34 @@ class AutoSolver(LinearSolver):
                 stats[key] += value
         return stats
 
+    def _wants_sparse(self, compiled, trials: Optional[int]) -> bool:
+        threshold = self.crossover if trials is None else self.batched_crossover
+        return compiled.size >= threshold and compiled.sparsity_pattern() is not None
+
+    def _choice(self, compiled, trials: Optional[int] = None) -> str:
+        """Name of the concrete backend :meth:`select` resolves to (no warning)."""
+        sparse = self._wants_sparse(compiled, trials) and scipy_available()
+        if trials is None:
+            return SparseSolver.name if sparse else DenseSolver.name
+        return BatchedSparseSolver.name if sparse else BatchedDenseSolver.name
+
     def select(self, compiled, trials: Optional[int] = None) -> LinearSolver:
-        batched = trials is not None
-        threshold = self.batched_crossover if batched else self.crossover
-        want_sparse = (
-            compiled.size >= threshold and compiled.sparsity_pattern() is not None
-        )
-        if want_sparse and not scipy_available():
-            if not self._warned_no_scipy:
-                warnings.warn(
-                    f"solver='auto' would use the sparse backend for this "
-                    f"{compiled.size}-unknown system, but scipy is not "
-                    "installed; falling back to the dense backend (slower and "
-                    "O(n^2) memory at this size). Install scipy — pip install "
-                    "scipy, or this package's [sparse] extra — to enable it.",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                self._warned_no_scipy = True
-            want_sparse = False
-        if want_sparse:
-            return self._backend("sparse-batched" if batched else "sparse")
-        return self._backend("batched" if batched else "dense")
+        if (
+            not self._warned_no_scipy
+            and self._wants_sparse(compiled, trials)
+            and not scipy_available()
+        ):
+            warnings.warn(
+                f"solver='auto' would use the sparse backend for this "
+                f"{compiled.size}-unknown system, but scipy is not "
+                "installed; falling back to the dense backend (slower and "
+                "O(n^2) memory at this size). Install scipy — pip install "
+                "scipy, or this package's [sparse] extra — to enable it.",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self._warned_no_scipy = True
+        return self._backend(self._choice(compiled, trials))
 
     # Direct solves (no engine selection step): route by matrix size so an
     # AutoSolver instance still works wherever a plain backend would.
@@ -833,6 +879,24 @@ def available_backends() -> Tuple[str, ...]:
         names[1:1] = [SparseSolver.name]
         names.insert(3, BatchedSparseSolver.name)
     return tuple(names)
+
+
+def describe_backend(
+    solver: LinearSolver, compiled, trials: Optional[int] = None
+) -> Dict[str, object]:
+    """The concrete backend ``solver`` resolves to for a run, by name.
+
+    ``{"backend": <name>, "threads": <fan-out threads, 0 = serial loop>}``
+    for a run on ``compiled`` (``trials`` for a stacked run); a policy
+    backend resolves exactly like :meth:`AutoSolver.select`.
+    """
+    if isinstance(solver, AutoSolver):
+        name = solver._choice(compiled, trials)
+        threads = solver.threads if name == BatchedSparseSolver.name else 0
+    else:
+        name = solver.name
+        threads = getattr(solver, "threads", 0)
+    return {"backend": name, "threads": threads}
 
 
 def get_solver(

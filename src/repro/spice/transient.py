@@ -55,6 +55,12 @@ class TransientConvergenceInfo:
         (warm start included), and solves served by an already-computed
         factorization (fingerprint cache hits plus ``newton="reuse"``
         bypass rounds).  Zero for non-factoring solver backends.
+    dc_strategy:
+        How the ``t = 0`` DC warm start converged: the
+        :class:`~repro.spice.dcop.ConvergenceInfo` strategy (``"newton"``,
+        ``"gmin-stepping"``, ``"source-stepping"`` or ``"failed"`` — a
+        failed warm start marches on from its last iterate), or
+        ``"initial-conditions"`` when the march skipped the warm start.
     """
 
     strategy: str
@@ -66,6 +72,7 @@ class TransientConvergenceInfo:
     max_step_s: float
     factorizations: int = 0
     factorization_reuses: int = 0
+    dc_strategy: Optional[str] = None
 
     @property
     def total_steps(self) -> int:
@@ -163,6 +170,10 @@ class BatchedTransientResult:
         ``"lockstep"`` for trials that completed the batched march,
         ``"serial-fallback"`` for trials re-run through the serial
         :meth:`~repro.spice.engine.AnalysisEngine.solve_transient` ladders.
+    dc_strategies:
+        Per-trial strategy of the ``t = 0`` DC warm start (see
+        :attr:`TransientConvergenceInfo.dc_strategy`; the batched warm
+        start reports ``"batched-newton"`` for its plain Newton rounds).
     """
 
     circuit: Circuit
@@ -176,6 +187,7 @@ class BatchedTransientResult:
     #: per trial: stacked factorizations are shared across the live set).
     factorizations: int = 0
     factorization_reuses: int = 0
+    dc_strategies: tuple = ()
 
     def __len__(self) -> int:
         return self.solutions.shape[0]
@@ -211,6 +223,9 @@ class BatchedTransientResult:
                 rejected_steps=0,
                 min_step_s=float(self.time_s[1] - self.time_s[0]) if steps else 0.0,
                 max_step_s=float(self.time_s[1] - self.time_s[0]) if steps else 0.0,
+                dc_strategy=(
+                    self.dc_strategies[trial] if self.dc_strategies else None
+                ),
             ),
         )
 

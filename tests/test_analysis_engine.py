@@ -177,7 +177,7 @@ class TestCompiledAssemblyParity:
         assert not op.converged
         # Only the caller-requested gmin contexts are retained; the
         # bumped-gmin retry matrices are built uncached.
-        assert len(engine.compiled._base_cache) <= len((1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)) + 1
+        assert len(engine.compiled._base_data_cache) <= len((1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)) + 1
 
     def test_get_engine_is_cached_on_circuit(self):
         circuit = Circuit()

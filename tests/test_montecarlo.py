@@ -235,10 +235,10 @@ class TestParameterOverlay:
         circuit = common_source_circuit()
         engine = get_engine(circuit)
         engine.solve_dc()  # populate the base-matrix and source-value caches
-        assert engine.compiled._base_cache
+        assert engine.compiled._base_data_cache
         restored = pickle.loads(pickle.dumps(circuit))
         restored_compiled = get_engine(restored).compiled
-        assert restored_compiled._base_cache == {}
+        assert restored_compiled._base_data_cache == {}
         assert restored_compiled._source_value_cache is None
         # The shipped compiled state still solves without recompiling.
         assert restored_compiled.revision == restored.revision

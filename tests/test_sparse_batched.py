@@ -1,13 +1,14 @@
 """Tests for sparse pattern assembly and the sparse-batched solver path.
 
-The dense assembly is the reference: scattering element stamps straight
-into the precomputed CSC pattern (serial ``(nnz,)`` or stacked
-``(trials, nnz)``) must reproduce the dense matrices *bit for bit* — same
-accumulation order, same arithmetic — at zero and nonzero sigma, for DC
-and transient companion states.  At the solve level the sparse-batched
-backend must match the serial sparse backend bit for bit (identical data,
-identical per-trial factorizations) and the dense-batched reference to
-tight tolerance.
+Every assembly scatters element stamps into the precomputed CSC pattern
+(serial ``(nnz,)`` or stacked ``(trials, nnz)``).  The pattern must cover
+every entry the per-element ``stamp()`` oracle writes, and the stacked
+data must reproduce the serial dense entry point (``assemble_system``,
+trial overlay applied) *bit for bit* — same accumulation order, same
+arithmetic — at zero and nonzero sigma, for DC and transient companion
+states.  At the solve level the sparse-batched backend must match the
+serial sparse backend bit for bit (identical data, identical per-trial
+factorizations) and the dense-batched reference to tight tolerance.
 """
 
 import numpy as np
@@ -62,23 +63,37 @@ def scatter_dense(pattern, data):
     return matrix
 
 
+def serial_dense(engine, state, overlay):
+    """The serial dense assembly at ``state`` under one trial's overlay."""
+    compiled = engine.compiled
+    try:
+        compiled.set_parameter_overlay(overlay)
+        return engine.assemble_system(state)
+    finally:
+        compiled.clear_parameter_overlay()
+
+
 class TestSparsityPattern:
     def test_pattern_covers_every_assembled_entry(self, switch_model):
-        # Reconstructing the dense matrix from the pattern data must give
-        # back the dense assembly exactly — including that every entry the
-        # dense path writes is inside the pattern (a miss would leave a
-        # nonzero unreconstructed and the equality would fail).
+        # Every entry the per-element stamp() oracle writes must lie inside
+        # the pattern (a miss would leave a nonzero unreconstructed), and
+        # the dense entry point is exactly the scatter of the pattern data.
         bench = build_scalability_bench(4, model=switch_model)
         engine = get_engine(bench.circuit)
         compiled = engine.compiled
         pattern = compiled.sparsity_pattern()
         op = engine.solve_dc()
         state = AnalysisState(solution=op.solution, gmin=1e-9)
-        matrix, rhs = compiled.assemble(state)
+        matrix, rhs = engine.assemble_system(state)
         data, sparse_rhs = compiled.assemble_sparse(state)
         assert data.shape == (pattern.nnz,)
         assert np.array_equal(scatter_dense(pattern, data), matrix)
         assert np.array_equal(sparse_rhs, rhs)
+        oracle = bench.circuit.assemble(state)
+        outside = np.ones(oracle.matrix.shape, dtype=bool)
+        outside[pattern.rows, pattern.cols] = False
+        assert not np.any(oracle.matrix[outside])
+        assert np.allclose(matrix, oracle.matrix, rtol=1e-12, atol=1e-18)
 
     def test_transient_companion_state_matches_dense(self):
         circuit = pulsed_amplifier()
@@ -95,7 +110,10 @@ class TestSparsityPattern:
             gmin=1e-9,
         )
         history = np.full(compiled.num_capacitors, 1e-9)
-        matrix, rhs = compiled.assemble(state, cap_history=history)
+        # assemble_system reads the trapezoidal history from the elements.
+        for capacitor in compiled.capacitors:
+            capacitor._previous_current = 1e-9
+        matrix, rhs = engine.assemble_system(state)
         data, sparse_rhs = compiled.assemble_sparse(state, cap_history=history)
         assert np.array_equal(scatter_dense(pattern, data), matrix)
         assert np.array_equal(sparse_rhs, rhs)
@@ -126,11 +144,10 @@ class TestSparseBatchedAssembly:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_batched_sparse_matches_batched_dense_bitwise(self, seed):
-        # The acceptance property of the sparse assembly migration: the
-        # (trials, nnz) stack scattered back to dense must equal the
-        # (trials, n, n) dense stack bit for bit, at nonzero sigma, with
-        # both a nonlinear (mos_vth) and a linear (resistor_ohm) overlay in
-        # play so the shared-base fast path is *not* taken.
+        # The (trials, nnz) stack scattered back to dense must equal the
+        # serial dense assembly of each trial bit for bit, at nonzero sigma,
+        # with both a nonlinear (mos_vth) and a linear (resistor_ohm)
+        # overlay in play so the shared-base fast path is *not* taken.
         circuit = pulsed_amplifier()
         mc = MonteCarloEngine(
             circuit,
@@ -143,17 +160,20 @@ class TestSparseBatchedAssembly:
         stacks = mc.sample_stacked_overlays(4)
         op = engine.solve_dc()
         solutions = np.tile(op.solution, (4, 1))
-        dense, dense_rhs = compiled.assemble_batched(solutions, stacks)
         data, sparse_rhs = compiled.assemble_sparse_batched(solutions, stacks)
         assert data.shape == (4, pattern.nnz)
+        state = AnalysisState(solution=op.solution, gmin=1e-9)
         for trial in range(4):
-            assert np.array_equal(scatter_dense(pattern, data[trial]), dense[trial])
-        assert np.array_equal(sparse_rhs, dense_rhs)
+            dense, dense_rhs = serial_dense(
+                engine, state, {name: stack[trial] for name, stack in stacks.items()}
+            )
+            assert np.array_equal(scatter_dense(pattern, data[trial]), dense)
+            assert np.array_equal(sparse_rhs[trial], dense_rhs)
 
     def test_shared_base_fast_path_matches_dense(self):
         # Only mos_vth varies: the linear part of every trial is the shared
         # nominal base (broadcast, not re-stamped), and must still match
-        # the dense batched assembly exactly.
+        # the serial dense assembly exactly.
         circuit = pulsed_amplifier()
         mc = MonteCarloEngine(circuit, {"mos_vth": Gaussian(0.03)}, seed=3)
         engine = get_engine(circuit)
@@ -162,11 +182,14 @@ class TestSparseBatchedAssembly:
         stacks = mc.sample_stacked_overlays(3)
         op = engine.solve_dc()
         solutions = np.tile(op.solution, (3, 1))
-        dense, dense_rhs = compiled.assemble_batched(solutions, stacks)
         data, sparse_rhs = compiled.assemble_sparse_batched(solutions, stacks)
+        state = AnalysisState(solution=op.solution, gmin=1e-9)
         for trial in range(3):
-            assert np.array_equal(scatter_dense(pattern, data[trial]), dense[trial])
-        assert np.array_equal(sparse_rhs, dense_rhs)
+            dense, dense_rhs = serial_dense(
+                engine, state, {name: stack[trial] for name, stack in stacks.items()}
+            )
+            assert np.array_equal(scatter_dense(pattern, data[trial]), dense)
+            assert np.array_equal(sparse_rhs[trial], dense_rhs)
 
     def test_batched_rows_match_serial_sparse_assembly(self):
         # Row t of the batched stack == the serial sparse assembly with
