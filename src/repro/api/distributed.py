@@ -154,21 +154,20 @@ def _worker_main(
 
     session = Session(store=None)
     session.adopt_circuits(pickle.loads(prebuilt_blob))
-    claims = 0
     send((_READY, worker_id, None, None))
     while True:
         task = task_queue.get()
         if task is None:  # shutdown sentinel
             return
-        task_id, content, spec = task
-        claims += 1
-        if chaos and chaos.get("die_worker") == worker_id:
-            if claims >= int(chaos.get("on_claim", 1)):
+        task_id, content, spec, delivery = task
+        if chaos and delivery == 1:
+            # Faults fire on one task's first delivery, whichever worker
+            # wins it from the queue; the redelivered task runs normally.
+            if chaos.get("die_task") == task_id:
                 # Simulated hard crash for the requeue tests: no cleanup,
                 # no message — exactly what a SIGKILL'd worker looks like.
                 os._exit(1)
-        if chaos and chaos.get("stall_worker") == worker_id:
-            if claims >= int(chaos.get("on_claim", 1)):
+            if chaos.get("stall_task") == task_id:
                 # Simulated hang for the lease tests: the process stays
                 # alive (heartbeats keep flowing) but the claimed task
                 # never finishes — only a lease timeout can catch this.
@@ -374,7 +373,7 @@ class StudyCoordinator:
             if self.lease_timeout_s is not None:
                 leases[task_id] = time.monotonic() + self.lease_timeout_s
             content, spec = tasks[task_id]
-            task_queues[worker_id].put((task_id, content, spec))
+            task_queues[worker_id].put((task_id, content, spec, attempts[task_id]))
 
         def requeue_from(worker_id: int) -> None:
             for task_id, owner in list(assigned.items()):

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.circuits.sizing import default_switch_model
 from repro.spice.dcop import OperatingPoint
-from repro.spice.dcsweep import DCSweepResult, interpolate_crossing
+from repro.spice.dcsweep import DCSweepResult, crossing_end, interpolate_crossing
 from repro.spice.elements.capacitor import Capacitor
 from repro.spice.elements.sources import VoltageSource
 from repro.spice.elements.switch4t import FourTerminalSwitchModel, add_four_terminal_switch
@@ -80,6 +80,14 @@ class SeriesChainCircuit:
         pass ``gate_v`` with ``tie_gate_to_drive=False`` to keep the gate fixed
         instead.  Returns ``nan`` when the target current is not reached below
         ``max_voltage_v``.
+
+        With the gate tied to the drive, the supply steps through ``points``
+        values from 0 V and stops right after the first point pair that
+        brackets the target (the rule of
+        :func:`repro.spice.dcsweep.crossing_end`); points past the first
+        crossing are not solved.  Each point warm-starts from the one before
+        it, so the result is the same as solving the whole range.  A target
+        that is never reached solves every point.
         """
         engine = get_engine(self.circuit)
         if not tie_gate_to_drive:
@@ -92,19 +100,25 @@ class SeriesChainCircuit:
             return sweep.find_value_for_current(DRIVE_SOURCE_NAME, target_current_a)
 
         # The gate follows the drive, so this is not a plain single-source
-        # sweep; run the warm-started continuation manually on the engine and
-        # reuse the sweep layer's crossing interpolation.
+        # sweep; run the warm-started continuation manually on the engine,
+        # stopping once the sweep layer's crossing rule has its answer.
         engine.compiled.refresh_values()
         voltages = np.linspace(0.0, max_voltage_v, points)
         currents = np.empty_like(voltages)
         guess = None
-        for i, voltage in enumerate(voltages):
+        solved = 0
+        for voltage in voltages:
             self.drive_source.set_level(float(voltage))
             self.gate_source.set_level(float(voltage))
             point = engine.solve_dc(initial_guess=guess, refresh=False)
             guess = point.solution.copy()
-            currents[i] = abs(point.source_current(self.drive_source))
-        return interpolate_crossing(voltages, currents, target_current_a)
+            currents[solved] = abs(point.source_current(self.drive_source))
+            solved += 1
+            if crossing_end(currents[:solved], target_current_a) is not None:
+                break
+        return interpolate_crossing(
+            voltages[:solved], currents[:solved], target_current_a
+        )
 
     def sweep_drive(self, values: Sequence[float], gate_v: float = 1.2) -> DCSweepResult:
         """DC sweep of the drive voltage at a fixed gate voltage."""

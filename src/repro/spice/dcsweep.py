@@ -3,7 +3,8 @@
 The per-point Newton solves and the warm-start continuation live in
 :class:`repro.spice.engine.AnalysisEngine`; this module keeps the stable
 :func:`dc_sweep` entry point, the :class:`DCSweepResult` type (with
-vectorized waveform extraction) and the crossing interpolation helper.
+vectorized waveform extraction) and the crossing rule with its
+interpolation helper.
 """
 
 from __future__ import annotations
@@ -82,33 +83,51 @@ class DCSweepResult:
         return interpolate_crossing(self.values, currents, target_a)
 
 
-def interpolate_crossing(xs: np.ndarray, ys: np.ndarray, target: float) -> float:
-    """First x at which y crosses target, by linear interpolation (nan if never).
+def crossing_end(ys: np.ndarray, target: float) -> Optional[int]:
+    """Index of the last sample that decides the first crossing of ``target``.
 
-    A sign-change scan over ``ys - target`` replaces the Python loop; a first
-    point already sitting exactly on the target is reported as a crossing at
-    ``xs[0]`` (the loop-based version skipped it when the curve stayed flat).
-    Public so other layers (e.g. the series-chain drive study) can reuse it
-    on curves they compute themselves.
+    This is the one crossing rule of the sweep layer.  A first point sitting
+    exactly on the target is a crossing at index 0; otherwise the first pair
+    ``(ys[i], ys[i + 1])`` whose signs against the target multiply to
+    ``<= 0`` and whose values differ crosses, and ``i + 1`` is returned.
+    ``None`` when the curve never crosses.
+
+    The answer only depends on ``ys[:end + 1]``, so a caller that computes
+    the curve point by point may stop as soon as the prefix it has yields a
+    result: :func:`interpolate_crossing` on that prefix equals it on the
+    full curve.
     """
-    xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if ys.size == 0:
-        return float("nan")
+        return None
     signs = np.sign(ys - target)
     if signs[0] == 0.0:
-        return float(xs[0])
+        return 0
     crossing = (signs[:-1] * signs[1:] <= 0.0) & (ys[:-1] != ys[1:])
     indices = np.flatnonzero(crossing)
     if indices.size == 0:
+        return None
+    return int(indices[0]) + 1
+
+
+def interpolate_crossing(xs: np.ndarray, ys: np.ndarray, target: float) -> float:
+    """First x at which y crosses target, by linear interpolation (nan if never).
+
+    The crossing is the one :func:`crossing_end` picks; a first point
+    already sitting exactly on the target is reported as a crossing at
+    ``xs[0]``.  Public so other layers (e.g. the series-chain drive study)
+    can reuse it on curves they compute themselves.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    end = crossing_end(ys, target)
+    if end is None:
         return float("nan")
-    i = int(indices[0])
+    if end == 0:
+        return float(xs[0])
+    i = end - 1
     fraction = (target - ys[i]) / (ys[i + 1] - ys[i])
     return float(xs[i] + fraction * (xs[i + 1] - xs[i]))
-
-
-#: Backwards-compatible alias (the helper predates its public export).
-_interpolate_crossing = interpolate_crossing
 
 
 def dc_sweep(

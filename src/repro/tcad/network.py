@@ -89,6 +89,14 @@ class TerminalNetwork:
             self._channels[canonical_pair(a, b)] = ChannelModel(
                 spec, a, b, calibration=calibration, temperature_k=temperature_k
             )
+        # Every node's channels to the other terminals, in Terminal order,
+        # resolved once so the KCL sums need no pair lookups.
+        self._neighbours: Dict[Terminal, Tuple[Tuple[Terminal, ChannelModel], ...]] = {
+            node: tuple(
+                (other, self.channel(node, other)) for other in Terminal if other != node
+            )
+            for node in Terminal
+        }
 
     @property
     def spec(self) -> DeviceSpec:
@@ -179,12 +187,10 @@ class TerminalNetwork:
         self, node: Terminal, voltages: Mapping[Terminal, float], gate_voltage: float
     ) -> float:
         """Net conventional current entering the device at ``node`` [A]."""
+        node_voltage = voltages[node]
         total = 0.0
-        for other in Terminal:
-            if other == node:
-                continue
-            channel = self.channel(node, other)
-            total += channel.current(gate_voltage, voltages[node], voltages[other])
+        for other, channel in self._neighbours[node]:
+            total += channel.current(gate_voltage, node_voltage, voltages[other])
         return total
 
     def _node_current_derivative(

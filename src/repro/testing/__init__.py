@@ -18,14 +18,14 @@ from repro.testing.chaos import (
     FaultPlan,
     FaultyStore,
     InjectedFault,
-    kill_worker,
-    stall_worker,
+    kill_task,
+    stall_task,
 )
 
 __all__ = [
     "FaultPlan",
     "FaultyStore",
     "InjectedFault",
-    "kill_worker",
-    "stall_worker",
+    "kill_task",
+    "stall_task",
 ]

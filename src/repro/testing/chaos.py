@@ -25,7 +25,7 @@ store operation fails:
 :class:`FaultyStore` applies a plan to any :class:`~repro.api.stores.
 Store`.  The worker-side chaos (hard kill, stall) that
 :mod:`repro.api.distributed` injects through its ``_chaos`` hook lives
-here too (:func:`kill_worker`, :func:`stall_worker`), so every fault the
+here too (:func:`kill_task`, :func:`stall_task`), so every fault the
 suite can inject has one home.
 """
 
@@ -44,8 +44,8 @@ __all__ = [
     "FaultPlan",
     "FaultyStore",
     "InjectedFault",
-    "kill_worker",
-    "stall_worker",
+    "kill_task",
+    "stall_task",
 ]
 
 
@@ -275,19 +275,25 @@ class FaultyStore(Store):
 # ---------------------------------------------------------------------- #
 
 
-def kill_worker(worker_id: int = 0, on_claim: int = 1) -> Mapping[str, Any]:
-    """A ``_chaos`` mapping hard-killing one worker (``os._exit``) on its
-    Nth task claim — indistinguishable from a SIGKILL mid-task."""
-    return {"die_worker": worker_id, "on_claim": on_claim}
+def kill_task(task_id: int = 0) -> Mapping[str, Any]:
+    """A ``_chaos`` mapping hard-killing (``os._exit``) whichever worker
+    receives task ``task_id`` first — indistinguishable from a SIGKILL
+    mid-task.
+
+    Distinct specs are numbered in order from 0.  The fault fires whichever
+    worker wins the task from the queue, and the redelivered task runs
+    normally.
+    """
+    return {"die_task": task_id}
 
 
-def stall_worker(
-    worker_id: int = 0, on_claim: int = 1, stall_s: float = 3600.0
-) -> Mapping[str, Any]:
-    """A ``_chaos`` mapping stalling one worker on its Nth task claim.
+def stall_task(task_id: int = 0, stall_s: float = 3600.0) -> Mapping[str, Any]:
+    """A ``_chaos`` mapping stalling whichever worker receives task
+    ``task_id`` first.
 
     The process stays alive (its heartbeat thread keeps beating) but the
     claimed task never finishes — the hung-worker shape only a lease
-    timeout can detect.
+    timeout can detect.  As with :func:`kill_task`, the redelivered task
+    runs normally.
     """
-    return {"stall_worker": worker_id, "on_claim": on_claim, "stall_s": stall_s}
+    return {"stall_task": task_id, "stall_s": stall_s}

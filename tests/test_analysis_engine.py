@@ -23,7 +23,7 @@ from repro.spice import (
     sweep_many,
     transient_analysis,
 )
-from repro.spice.dcsweep import _interpolate_crossing
+from repro.spice.dcsweep import interpolate_crossing
 from repro.spice.engine import AnalysisEngine, CompiledCircuit
 from repro.spice.netlist import AnalysisState
 
@@ -356,30 +356,30 @@ class TestInterpolateCrossing:
         xs = np.array([0.0, 1.0, 2.0])
         ys = np.array([5.0, 5.0, 7.0])
         # The loop-based version skipped the flat start and reported x=1.
-        assert _interpolate_crossing(xs, ys, 5.0) == 0.0
+        assert interpolate_crossing(xs, ys, 5.0) == 0.0
 
     def test_flat_curve_on_target_everywhere(self):
         xs = np.array([0.0, 1.0])
         ys = np.array([3.0, 3.0])
-        assert _interpolate_crossing(xs, ys, 3.0) == 0.0
+        assert interpolate_crossing(xs, ys, 3.0) == 0.0
 
     def test_interior_crossing_interpolates(self):
         xs = np.array([0.0, 1.0, 2.0])
         ys = np.array([0.0, 1.0, 3.0])
-        assert _interpolate_crossing(xs, ys, 2.0) == pytest.approx(1.5)
+        assert interpolate_crossing(xs, ys, 2.0) == pytest.approx(1.5)
 
     def test_no_crossing_is_nan(self):
         xs = np.array([0.0, 1.0])
         ys = np.array([0.0, 1.0])
-        assert np.isnan(_interpolate_crossing(xs, ys, 5.0))
+        assert np.isnan(interpolate_crossing(xs, ys, 5.0))
 
     def test_empty_input_is_nan(self):
-        assert np.isnan(_interpolate_crossing(np.array([]), np.array([]), 1.0))
+        assert np.isnan(interpolate_crossing(np.array([]), np.array([]), 1.0))
 
     def test_descending_crossing(self):
         xs = np.array([0.0, 1.0, 2.0])
         ys = np.array([4.0, 2.0, 0.0])
-        assert _interpolate_crossing(xs, ys, 3.0) == pytest.approx(0.5)
+        assert interpolate_crossing(xs, ys, 3.0) == pytest.approx(0.5)
 
 
 class TestBranchPositionCache:

@@ -116,6 +116,8 @@ class TestDistributedParity:
         store.close()
 
     def test_worker_death_requeues_and_completes(self, mc64_specs, tmp_path):
+        from repro.testing import kill_task
+
         serial = Session(store=None).run_many(
             mc64_specs, executor=SerialExecutor()
         )
@@ -123,7 +125,7 @@ class TestDistributedParity:
         executor = DistributedExecutor(
             workers=2,
             store=store,
-            _chaos={"die_worker": 0, "on_claim": 1},  # hard-kill on first task
+            _chaos=kill_task(task_id=0),  # hard-kill on the first task
         )
         distributed = Session(store=None).run_many(mc64_specs, executor=executor)
         assert_bitwise_equal(serial, distributed)
@@ -234,7 +236,7 @@ class TestFaultTolerance:
     def test_hung_worker_lease_expires_requeues_and_completes(
         self, chain_grid, tmp_path
     ):
-        from repro.testing import stall_worker
+        from repro.testing import stall_task
 
         serial = Session(store=None).run_many(
             chain_grid, executor=SerialExecutor()
@@ -244,9 +246,9 @@ class TestFaultTolerance:
             workers=2,
             store=store,
             lease_timeout_s=1.0,
-            # worker 0 stalls forever on its first claim; its heartbeat
-            # keeps beating, so only the lease can catch it
-            _chaos=stall_worker(worker_id=0, on_claim=1),
+            # whichever worker first receives task 0 stalls forever; its
+            # heartbeat keeps beating, so only the lease can catch it
+            _chaos=stall_task(task_id=0),
         )
         distributed = Session(store=None).run_many(
             chain_grid, executor=executor
@@ -260,7 +262,7 @@ class TestFaultTolerance:
         store.close()
 
     def test_respawn_backoff_still_reaches_parity(self, chain_grid, tmp_path):
-        from repro.testing import kill_worker
+        from repro.testing import kill_task
 
         serial = Session(store=None).run_many(
             chain_grid, executor=SerialExecutor()
@@ -270,7 +272,8 @@ class TestFaultTolerance:
             workers=2,
             store=store,
             respawn_backoff_s=0.05,
-            _chaos=kill_worker(worker_id=0, on_claim=1),
+            # whichever worker first receives task 0 dies
+            _chaos=kill_task(task_id=0),
         )
         distributed = Session(store=None).run_many(
             chain_grid, executor=executor

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.devices.specs import device_spec
-from repro.devices.terminals import DSSS, Terminal, configuration_by_name
+from repro.devices.terminals import (
+    ALL_TERMINAL_CONFIGURATIONS,
+    DSSS,
+    Terminal,
+    configuration_by_name,
+)
 from repro.tcad.calibration import DeviceCalibration, default_calibration
 from repro.tcad.channel import ChannelModel
 from repro.tcad.electrostatics import (
@@ -17,7 +22,7 @@ from repro.tcad.electrostatics import (
     surface_potential,
     threshold_voltage,
 )
-from repro.tcad.network import TerminalNetwork
+from repro.tcad.network import NetworkSolution, TerminalNetwork
 from repro.tcad.simulator import DeviceSimulator
 from repro.tcad.sweeps import PAPER_SWEEP_SETUPS, SweepSetup, idvd, idvg_linear, idvg_saturation
 
@@ -216,6 +221,69 @@ class TestTerminalNetwork:
 
     def test_channel_lookup_symmetric(self, network):
         assert network.channel(Terminal.T1, Terminal.T3) is network.channel(Terminal.T3, Terminal.T1)
+
+
+def _lookup_node_current(network, node, voltages, gate_voltage):
+    """Node current summed through ``channel()`` lookups over ``Terminal``."""
+    total = 0.0
+    for other in Terminal:
+        if other == node:
+            continue
+        channel = network.channel(node, other)
+        total += channel.current(gate_voltage, voltages[node], voltages[other])
+    return total
+
+
+class _LookupNetwork(TerminalNetwork):
+    """The network with every KCL sum resolving its channels by lookup."""
+
+    def _node_current(self, node, voltages, gate_voltage):
+        return _lookup_node_current(self, node, voltages, gate_voltage)
+
+
+class TestNeighbourTableParity:
+    """The per-node neighbour table sums the same channels in the same order."""
+
+    BIASES = ((5.0, 5.0), (0.0, 5.0), (1.5, 0.01), (3.0, -2.0))
+
+    @pytest.fixture(scope="class")
+    def networks(self):
+        spec = device_spec("square", "HfO2")
+        return TerminalNetwork(spec), _LookupNetwork(spec)
+
+    @staticmethod
+    def _bits(solution: NetworkSolution):
+        return (
+            {t: v.hex() for t, v in solution.terminal_voltages.items()},
+            {t: i.hex() for t, i in solution.terminal_currents.items()},
+            solution.gate_voltage.hex(),
+            solution.iterations,
+            solution.converged,
+        )
+
+    @pytest.mark.parametrize("code", sorted(ALL_TERMINAL_CONFIGURATIONS))
+    def test_every_configuration_bitwise(self, networks, code):
+        table, lookup = networks
+        configuration = ALL_TERMINAL_CONFIGURATIONS[code]
+        for gate_voltage, drain_voltage in self.BIASES:
+            fast = table.solve(configuration, gate_voltage, drain_voltage)
+            reference = lookup.solve(configuration, gate_voltage, drain_voltage)
+            assert self._bits(fast) == self._bits(reference)
+
+    def test_node_current_matches_lookup_sum(self, networks):
+        table, _ = networks
+        voltages = {Terminal.T1: 5.0, Terminal.T2: 0.3, Terminal.T3: 2.2, Terminal.T4: 0.0}
+        for node in Terminal:
+            assert table._node_current(node, voltages, 4.0).hex() == (
+                _lookup_node_current(table, node, voltages, 4.0).hex()
+            )
+
+    def test_channels_mapping_unchanged(self, networks):
+        table, _ = networks
+        assert len(table.channels) == 6
+        for (a, b), channel in table.channels.items():
+            assert table.channel(a, b) is channel
+            assert table.channel(b, a) is channel
 
 
 class TestSweepSetups:
